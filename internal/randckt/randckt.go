@@ -31,6 +31,10 @@ type Config struct {
 	Mem bool
 	// Whens wraps some register updates in when blocks.
 	Whens bool
+	// Printfs adds printf sinks, each enabled by a random 1-bit signal
+	// and printing one random signal. The CCSS planner keeps every
+	// partition holding a sink always-on.
+	Printfs int
 }
 
 // DefaultConfig is a medium-sized mixed circuit.
@@ -165,6 +169,15 @@ func Generate(seed int64, cfg Config) *firrtl.Circuit {
 		} else {
 			g.body = append(g.body, conn)
 		}
+	}
+
+	for i := 0; i < cfg.Printfs; i++ {
+		g.body = append(g.body, &firrtl.Printf{
+			Clock:  &firrtl.Ref{Name: "clock"},
+			En:     g.fit(g.pick(), 1, false),
+			Format: fmt.Sprintf("p%d %%d\n", i),
+			Args:   []firrtl.Expr{g.ref(g.pick())},
+		})
 	}
 
 	// Outputs sample late pool entries so deep logic stays live.

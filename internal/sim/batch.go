@@ -250,7 +250,7 @@ func NewBatchCCSS(d *netlist.Design, opts BatchOptions) (*BatchCCSS, error) {
 	for si, spec := range plan.LevelSpecs {
 		sp := batchSpec{parts: toInt32s(spec.Parts), serial: spec.Serial}
 		for _, pi := range sp.parts {
-			if base.parts[pi].alwaysOn {
+			if base.alwaysOn.has(pi) {
 				sp.alwaysOn = true
 			}
 		}
@@ -947,7 +947,7 @@ func (b *BatchCCSS) runSpecInline(c *batchCtx, sp *batchSpec, live simrt.LaneMas
 	for _, pi := range sp.parts {
 		em := b.pmask[pi]
 		b.pmask[pi] = 0
-		if b.base.parts[pi].alwaysOn {
+		if b.base.alwaysOn.has(pi) {
 			em = live
 		} else {
 			em &= live

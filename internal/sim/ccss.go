@@ -1,6 +1,8 @@
 package sim
 
 import (
+	stdbits "math/bits"
+
 	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/partition"
@@ -39,7 +41,11 @@ type CCSS struct {
 	*machine
 
 	parts []ccssPart
-	flags []bool
+	// flags holds one activity bit per partition; alwaysOn marks the
+	// partitions the plan evaluates every cycle. The walk scans both a
+	// word at a time (DESIGN.md §5).
+	flags    flagSet
+	alwaysOn flagSet
 
 	// Input change detection (§III-A: "the simulator also detects changes
 	// to external inputs").
@@ -83,7 +89,6 @@ type CCSS struct {
 
 type ccssPart struct {
 	schedStart, schedEnd int32
-	alwaysOn             bool
 	outputs              []ccssOutput
 	// regs lists non-elided register indices written by this partition.
 	regs []int32
@@ -97,6 +102,53 @@ type ccssOutput struct {
 	// (the OR-reduction targets of Fig. 1).
 	consumers []int32
 }
+
+// flagSet is a partition bitset: bit p%64 of word p/64 is partition p.
+// Bits past the partition count stay clear, so a word scan never visits
+// a partition that does not exist.
+type flagSet []uint64
+
+func newFlagSet(n int) flagSet { return make(flagSet, (n+63)/64) }
+
+func (f flagSet) set(p int32)      { f[uint32(p)/64] |= 1 << (uint32(p) % 64) }
+func (f flagSet) clear(p int32)    { f[uint32(p)/64] &^= 1 << (uint32(p) % 64) }
+func (f flagSet) has(p int32) bool { return f[uint32(p)/64]>>(uint32(p)%64)&1 != 0 }
+
+// setFirst sets bits [0, n).
+func (f flagSet) setFirst(n int) {
+	for i := range f {
+		f[i] = 0
+	}
+	for w := 0; w < n/64; w++ {
+		f[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		f[n/64] = 1<<(uint(n)%64) - 1
+	}
+}
+
+// clearRange clears bits [lo, hi).
+func (f flagSet) clearRange(lo, hi int32) {
+	for w := lo / 64; w*64 < hi; w++ {
+		f[w] &^= spanMask(w, lo, hi)
+	}
+}
+
+// spanMask returns the bits of word w that fall in [lo, hi).
+func spanMask(w, lo, hi int32) uint64 {
+	base, m := w*64, ^uint64(0)
+	if lo > base {
+		m <<= uint(lo - base)
+	}
+	if hi < base+64 {
+		m &= 1<<uint(hi-base) - 1
+	}
+	return m
+}
+
+// after returns the bits of word w above bit b: the unvisited rest of the
+// word once partition 64*w+b has been evaluated.
+func after(w uint64, b int) uint64 { return w &^ (2<<uint(b) - 1) }
 
 type ccssInput struct {
 	off       int32
@@ -176,12 +228,16 @@ func newCCSSFromPlan(d *netlist.Design, plan *sched.CCSSPlan, noFuse bool,
 	// grouped schedule construction.
 	np := len(plan.Parts)
 	c.parts = make([]ccssPart, np)
-	c.flags = make([]bool, np)
+	c.flags = newFlagSet(np)
+	c.alwaysOn = newFlagSet(np)
 	oldOff := int32(0)
 	for p := 0; p < np; p++ {
 		pp := &plan.Parts[p]
 		part := ccssPart{schedStart: ranges[p][0], schedEnd: ranges[p][1],
-			alwaysOn: pp.AlwaysOn, regs: toInt32s(pp.Regs)}
+			regs: toInt32s(pp.Regs)}
+		if pp.AlwaysOn {
+			c.alwaysOn.set(int32(p))
+		}
 		for _, op := range pp.Outputs {
 			words := int32(bits.Words(d.Signals[op.Sig].Width))
 			part.outputs = append(part.outputs, ccssOutput{
@@ -226,9 +282,7 @@ func newCCSSFromPlan(d *netlist.Design, plan *sched.CCSSPlan, noFuse bool,
 
 // wakeAll flags every partition (first cycle and after Reset).
 func (c *CCSS) wakeAll() {
-	for i := range c.flags {
-		c.flags[i] = true
-	}
+	c.flags.setFirst(len(c.parts))
 	// Invalidate input history so the first Step re-seeds it.
 	c.poked = true
 	for i := range c.prevIn {
@@ -257,7 +311,7 @@ func (c *CCSS) PokeMem(mem, addr int, v uint64) {
 	c.machine.PokeMem(mem, addr, v)
 	c.poked = true
 	for _, q := range c.memReaderParts[mem] {
-		c.flags[q] = true
+		c.flags.set(q)
 	}
 }
 
@@ -308,7 +362,7 @@ func (c *CCSS) scanInputs() {
 		}
 		if changed {
 			for _, p := range in.consumers {
-				c.flags[p] = true
+				c.flags.set(p)
 			}
 			m.stats.Wakes += uint64(len(in.consumers))
 		}
@@ -316,58 +370,82 @@ func (c *CCSS) scanInputs() {
 }
 
 // evalPart evaluates one woken partition: save old outputs, run the
-// instruction span, compare-and-wake, mark dirty registers.
-func (c *CCSS) evalPart(p int) {
+// instruction span, compare-and-wake, mark dirty registers. One-word
+// outputs (nearly all of them) save and compare directly.
+func (c *CCSS) evalPart(p int32) {
 	m := c.machine
 	t := m.t
 	part := &c.parts[p]
-	c.flags[p] = false
+	old := c.oldVals
+	c.flags.clear(p)
 	m.stats.PartEvals++
 	// Save old output values (Fig. 1: deactivate, save, compute).
 	for oi := range part.outputs {
-		o := &part.outputs[oi]
-		copy(c.oldVals[o.oldOff:o.oldOff+o.words], t[o.off:o.off+o.words])
+		part.outputs[oi].save(t, old)
 	}
 	m.runRange(part.schedStart, part.schedEnd)
 	// Change detection and push triggering.
+	m.stats.OutputCompares += uint64(len(part.outputs))
 	for oi := range part.outputs {
 		o := &part.outputs[oi]
-		m.stats.OutputCompares++
-		changed := false
-		for w := int32(0); w < o.words; w++ {
-			if t[o.off+w] != c.oldVals[o.oldOff+w] {
-				changed = true
-				break
-			}
+		if !o.changed(t, old) {
+			continue
 		}
-		if changed {
-			m.stats.SignalChanges++
-			for _, q := range o.consumers {
-				c.flags[q] = true
-			}
-			m.stats.Wakes += uint64(len(o.consumers))
+		m.stats.SignalChanges++
+		for _, q := range o.consumers {
+			c.flags.set(q)
 		}
+		m.stats.Wakes += uint64(len(o.consumers))
 	}
 	// Non-elided registers written here must be committed and
 	// compared at the cycle boundary.
-	c.dirtyRegs = append(c.dirtyRegs, part.regs...)
+	if len(part.regs) > 0 {
+		c.dirtyRegs = append(c.dirtyRegs, part.regs...)
+	}
 }
 
+// save copies the output's current value into its old-value slot.
+func (o *ccssOutput) save(t, old []uint64) {
+	if o.words == 1 {
+		old[o.oldOff] = t[o.off]
+		return
+	}
+	copy(old[o.oldOff:o.oldOff+o.words], t[o.off:o.off+o.words])
+}
+
+// changed reports whether the output differs from its saved old value.
+func (o *ccssOutput) changed(t, old []uint64) bool {
+	if o.words == 1 {
+		return t[o.off] != old[o.oldOff]
+	}
+	for w := int32(0); w < o.words; w++ {
+		if t[o.off+w] != old[o.oldOff+w] {
+			return true
+		}
+	}
+	return false
+}
+
+// stepOne walks the static partition schedule (singular execution) a
+// flag word at a time: each set bit of flags|alwaysOn is evaluated in
+// partition order, and the word is re-read after every evaluation so a
+// forward wake into the same word still runs this cycle. PartChecks
+// keeps the paper's accounting of one logical flag check per partition
+// per cycle.
 func (c *CCSS) stepOne() error {
 	if c.stopErr != nil {
 		return c.stopErr
 	}
 	c.scanInputs()
-
-	// Walk the static partition schedule (singular execution).
-	m := c.machine
-	for p := range c.parts {
-		m.stats.PartChecks++
-		if !c.flags[p] && !c.parts[p].alwaysOn {
-			continue
+	flags, on := c.flags, c.alwaysOn
+	for w := range flags {
+		for bitsW := flags[w] | on[w]; bitsW != 0; {
+			b := stdbits.TrailingZeros64(bitsW)
+			c.evalPart(int32(w*64 + b))
+			bitsW = after(flags[w]|on[w], b)
 		}
-		c.evalPart(p)
 	}
+	c.machine.stats.PartChecks += uint64(len(c.parts))
 	return c.finishCycle()
 }
 
@@ -394,7 +472,7 @@ func (c *CCSS) finishCycle() error {
 		if changed {
 			m.stats.SignalChanges++
 			for _, q := range c.regReaderParts[ri] {
-				c.flags[q] = true
+				c.flags.set(q)
 			}
 			m.stats.Wakes += uint64(len(c.regReaderParts[ri]))
 		}
@@ -426,7 +504,7 @@ func (c *CCSS) finishCycle() error {
 		}
 		if changed {
 			for _, q := range c.memReaderParts[w.mem] {
-				c.flags[q] = true
+				c.flags.set(q)
 			}
 			m.stats.Wakes += uint64(len(c.memReaderParts[w.mem]))
 		}

@@ -4,96 +4,120 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	stdbits "math/bits"
 	"strings"
 
 	"essent/internal/bits"
 	"essent/internal/netlist"
 )
 
-// runRange executes schedule entries in [start, end), following skip
-// entries over inactive mux-arm cones. This is the interpreter's inner
-// loop: instruction dispatch is inlined and routed through the
-// compile-time kind tag (narrow / signed / wide / fused), and the ops
-// counter is accumulated locally and flushed once per call.
+// runRange executes schedule positions [start, end) from the lowered
+// record array (rec.go), following guard records over inactive mux-arm
+// cones. This is the interpreter's only dispatch loop: narrow unsigned
+// instructions evaluate inline from their record, the rest take their
+// instr-table slow path, and the ops counter is accumulated locally and
+// flushed once per call. A narrow record must match execSigned with no
+// sign flags bit for bit; the cross-engine equivalence fuzz and the ISA
+// suite are the referee.
 func (m *machine) runRange(start, end int32) {
 	t := m.t
-	sched := m.sched
-	instrs := m.instrs
+	recs := m.recs[start:end]
 	var ops uint64
-	for i := start; i < end; {
-		e := &sched[i]
-		if e.kind == seInstr {
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			case kFused:
-				m.execFused(in)
-				ops += 2
-			default:
-				m.execWide(in)
-				ops++
+	for i := 0; i < len(recs); i++ {
+		r := &recs[i]
+		ops += uint64(r.ops)
+		switch r.op {
+		case ICopy:
+			t[r.dst] = t[r.a] & r.mask
+		case IMux:
+			if t[r.a] != 0 {
+				t[r.dst] = t[r.b] & r.mask
+			} else {
+				t[r.dst] = t[r.c] & r.mask
 			}
-			i++
-			continue
+		case IMemRead:
+			ms := &m.mems[r.b]
+			if addr := t[r.a]; addr < uint64(ms.depth) {
+				t[r.dst] = ms.words[int32(addr)*ms.nw]
+			} else {
+				t[r.dst] = 0
+			}
+		case IAdd:
+			t[r.dst] = (t[r.a] + t[r.b]) & r.mask
+		case ISub:
+			t[r.dst] = (t[r.a] - t[r.b]) & r.mask
+		case IMul:
+			t[r.dst] = (t[r.a] * t[r.b]) & r.mask
+		case IDiv:
+			if b := t[r.b]; b == 0 {
+				t[r.dst] = 0
+			} else {
+				t[r.dst] = (t[r.a] / b) & r.mask
+			}
+		case IRem:
+			if b := t[r.b]; b == 0 {
+				t[r.dst] = t[r.a] & r.mask
+			} else {
+				t[r.dst] = (t[r.a] % b) & r.mask
+			}
+		case ILt:
+			t[r.dst] = b2u(t[r.a] < t[r.b])
+		case ILeq:
+			t[r.dst] = b2u(t[r.a] <= t[r.b])
+		case IGt:
+			t[r.dst] = b2u(t[r.a] > t[r.b])
+		case IGeq:
+			t[r.dst] = b2u(t[r.a] >= t[r.b])
+		case IEq:
+			t[r.dst] = b2u(t[r.a] == t[r.b])
+		case INeq:
+			t[r.dst] = b2u(t[r.a] != t[r.b])
+		case IShl:
+			t[r.dst] = (t[r.a] << r.sh) & r.mask
+		case IShr, IBits:
+			t[r.dst] = (t[r.a] >> r.sh) & r.mask
+		case IDshl:
+			t[r.dst] = (t[r.a] << t[r.b]) & r.mask
+		case IDshr:
+			t[r.dst] = (t[r.a] >> t[r.b]) & r.mask
+		case INeg:
+			t[r.dst] = (-t[r.a]) & r.mask
+		case INot:
+			t[r.dst] = (^t[r.a]) & r.mask
+		case IAnd:
+			t[r.dst] = t[r.a] & t[r.b]
+		case IOr:
+			t[r.dst] = t[r.a] | t[r.b]
+		case IXor:
+			t[r.dst] = (t[r.a] ^ t[r.b]) & r.mask
+		case IAndr:
+			t[r.dst] = b2u(t[r.a] == r.mask)
+		case IOrr:
+			t[r.dst] = b2u(t[r.a] != 0)
+		case IXorr:
+			t[r.dst] = uint64(stdbits.OnesCount64(t[r.a])) & 1
+		case ICat:
+			t[r.dst] = (t[r.a]<<r.sh | t[r.b]) & r.mask
+		case IHead:
+			t[r.dst] = t[r.a] >> r.sh
+		case ITail:
+			t[r.dst] = t[r.a] & r.mask
+		case rSigned:
+			m.execSigned(&m.instrs[r.a])
+		case rWide:
+			m.execWide(&m.instrs[r.a])
+		case rFused:
+			m.execFused(&m.instrs[r.a])
+		case rDisplay:
+			m.runDisplay(r.a)
+		case rCheck:
+			m.runCheck(r.a)
+		case rMemWrite:
+			m.captureMemWrite(r.a)
 		}
-		switch e.kind {
-		case seSkipIfZero:
-			if t[e.idx] == 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfNonzero:
-			if t[e.idx] != 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfZeroF:
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			default:
-				m.execFused(in)
-				ops += 2
-			}
-			if t[in.dst] == 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seSkipIfNonzeroF:
-			in := &instrs[e.idx]
-			switch in.kind {
-			case kNarrow:
-				m.execNarrow(in)
-				ops++
-			case kSigned:
-				m.execSigned(in)
-				ops++
-			default:
-				m.execFused(in)
-				ops += 2
-			}
-			if t[in.dst] != 0 {
-				i += 1 + e.n
-				continue
-			}
-		case seDisplay:
-			m.runDisplay(e.idx)
-		case seCheck:
-			m.runCheck(e.idx)
-		case seMemWrite:
-			m.captureMemWrite(e.idx)
+		if r.skip != skNone && (t[r.dst] == 0) == (r.skip == skIfZero) {
+			i += int(r.n)
 		}
-		i++
 	}
 	m.stats.OpsEvaluated += ops
 }

@@ -20,7 +20,10 @@ import (
 type EventDriven struct {
 	*machine
 
-	level     []int32   // level per instruction (longest-path depth)
+	level []int32 // level per instruction (longest-path depth)
+	// posOf maps an instruction to its schedule position: events run one
+	// record through runRange, the engines' shared dispatch loop.
+	posOf     []int32
 	consumers [][]int32 // instr index → consumer instr indices
 	wSinkOf   [][]int32
 	// heap is the event queue: instruction indices ordered by level (the
@@ -78,6 +81,12 @@ func NewEventDrivenVerify(d *netlist.Design, vmode verify.Mode) (*EventDriven, e
 
 	nInstr := len(m.instrs)
 	e.level = make([]int32, nInstr)
+	e.posOf = make([]int32, nInstr)
+	for p, se := range m.sched {
+		if se.kind == seInstr {
+			e.posOf[se.idx] = int32(p)
+		}
+	}
 	e.consumers = make([][]int32, nInstr)
 	e.wSinkOf = make([][]int32, nInstr)
 
@@ -307,7 +316,7 @@ func (e *EventDriven) stepOne() error {
 		in := &m.instrs[ci]
 		nw := int32(len(m.view(in.dst, in.dw)))
 		copy(old[:nw], t[in.dst:in.dst+nw])
-		m.exec(in)
+		m.runRange(e.posOf[ci], e.posOf[ci]+1)
 		changed := false
 		for w := int32(0); w < nw; w++ {
 			if t[in.dst+w] != old[w] {

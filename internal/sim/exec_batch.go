@@ -407,9 +407,10 @@ func (c *batchCtx) execLaneScalar(in *instr, lanes []int) {
 	}
 }
 
-// execBatchNarrow is the hot path: the batched form of execNarrow, one
-// tight loop over the active lanes of each row. Semantics per lane must
-// match execNarrow bit for bit. When every lane is active (the common
+// execBatchNarrow is the hot path: the batched form of the scalar
+// interpreter's inline narrow records (runRange), one tight loop over the
+// active lanes of each row. Semantics per lane must match runRange bit
+// for bit. When every lane is active (the common
 // case for lock-step batches) the dense variant runs instead: iterating
 // the rows directly lets the compiler drop the lane indirection and the
 // bounds checks.
@@ -434,7 +435,7 @@ func (c *batchCtx) execBatchNarrow(in *instr, lanes []int) {
 // rows (each len == lane count) for the given active lanes. Shared
 // between the batch engine (rows sliced from bt by signal offset) and the
 // instance-vectorized engine (rows sliced from a group's slot buffer).
-// Semantics per lane must match execNarrow bit for bit.
+// Semantics per lane must match runRange's narrow records bit for bit.
 func execRowNarrow(in *instr, lanes []int, d, a, bb, cc []uint64) {
 	if len(lanes) == len(d) {
 		execRowNarrowDense(in, d, a, bb, cc)

@@ -179,6 +179,9 @@ type machine struct {
 	instrs  []instr
 	instrOf []int32 // SignalID → index into instrs (-1 for non-comb)
 	sched   []schedEntry
+	// recs is sched lowered one record per position (rec.go): the array
+	// runRange executes.
+	recs []rec
 	// schedPosOf maps design-graph node IDs to schedule positions (-1 for
 	// sources); used by the partitioner-driven engines.
 	schedPosOf []int32
@@ -474,6 +477,7 @@ func newMachineCfg(d *netlist.Design, dg *netlist.DesignGraph, order []int,
 		ranges = m.fuseSchedule(cfg.keepLive, ranges)
 		m.stats.FusedPairs = uint64(m.fusedPairs)
 	}
+	m.lowerSchedule()
 
 	m.initState()
 	return m, ranges, nil
@@ -646,25 +650,6 @@ func ext(v uint64, w int32, signed bool) uint64 {
 		return bits.Sext64(v, int(w))
 	}
 	return v
-}
-
-// exec evaluates one instruction through the compile-time dispatch kind.
-// It is the entry point for engines that execute instructions outside the
-// schedule walk (event-driven); the schedule engines inline the same
-// dispatch in runRange.
-func (m *machine) exec(in *instr) {
-	m.stats.OpsEvaluated++
-	switch in.kind {
-	case kNarrow:
-		m.execNarrow(in)
-	case kSigned:
-		m.execSigned(in)
-	case kFused:
-		m.stats.OpsEvaluated++
-		m.execFused(in)
-	default:
-		m.execWide(in)
-	}
 }
 
 // execSigned evaluates a single-word instruction with at least one signed

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	stdbits "math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -207,7 +208,7 @@ func NewParallelCCSS(d *netlist.Design, opts ParallelOptions) (*ParallelCCSS, er
 			lv.end = lv.start + int32(len(lv.parts))
 		}
 		for _, pi := range lv.parts {
-			if base.parts[pi].alwaysOn {
+			if base.alwaysOn.has(pi) {
 				lv.alwaysOn++
 			}
 		}
@@ -507,8 +508,8 @@ func (p *ParallelCCSS) Close() {
 // wakePart flags a partition and maintains the per-level activity
 // counters. Dispatcher-only: parallel-phase wakes go through wakeBuf.
 func (p *ParallelCCSS) wakePart(q int32) {
-	if !p.flags[q] {
-		p.flags[q] = true
+	if !p.flags.has(q) {
+		p.flags.set(q)
 		p.levelActive[p.lvlOf[q]]++
 	}
 }
@@ -587,23 +588,15 @@ func (p *ParallelCCSS) evalPart(wm *machine, wid int, pi int32) {
 	part := &p.parts[pi]
 	p.wCur[wid] = pi
 	wm.stats.PartEvals++
-	t := wm.t
+	t, old := wm.t, p.oldVals
 	for oi := range part.outputs {
-		o := &part.outputs[oi]
-		copy(p.oldVals[o.oldOff:o.oldOff+o.words], t[o.off:o.off+o.words])
+		part.outputs[oi].save(t, old)
 	}
 	wm.runRange(part.schedStart, part.schedEnd)
+	wm.stats.OutputCompares += uint64(len(part.outputs))
 	for oi := range part.outputs {
 		o := &part.outputs[oi]
-		wm.stats.OutputCompares++
-		changed := false
-		for w := int32(0); w < o.words; w++ {
-			if t[o.off+w] != p.oldVals[o.oldOff+w] {
-				changed = true
-				break
-			}
-		}
-		if changed {
+		if o.changed(t, old) {
 			wm.stats.SignalChanges++
 			p.wakeBuf[wid] = append(p.wakeBuf[wid], o.consumers...)
 			wm.stats.Wakes += uint64(len(o.consumers))
@@ -615,11 +608,13 @@ func (p *ParallelCCSS) evalPart(wm *machine, wid int, pi int32) {
 }
 
 // runSpans evaluates worker wid's share of the current parallel level:
-// its pre-chunked span, then whatever remains in the steal pool. Flag
-// reads/writes here are plain (not atomic): each partition is visited by
-// exactly one worker (disjoint spans; the tail counter dispenses each
-// index once), and no flag of the running level is concurrently written
-// (wakes are buffered, and the planner forbids same-level consumers).
+// its pre-chunked span, then whatever remains in the steal pool. Each
+// partition is visited by exactly one worker (disjoint spans; the tail
+// counter dispenses each index once), and no flag of the running level
+// is written during the phase: wakes are buffered, the planner forbids
+// same-level consumers, and the level's flags are cleared by the
+// dispatcher after the completion wait (partitions of one level share
+// flag words, so a worker-side clear would race).
 func (p *ParallelCCSS) runSpans(wid int) {
 	lv := &p.levels[p.curLevel]
 	wm := p.wm[wid]
@@ -639,40 +634,42 @@ func (p *ParallelCCSS) runSpans(wid int) {
 
 func (p *ParallelCCSS) runPart(wm *machine, wid int, pi int32) {
 	wm.stats.PartChecks++
-	if p.flags[pi] {
-		p.flags[pi] = false
-	} else if !p.parts[pi].alwaysOn {
-		return
+	if p.flags.has(pi) || p.alwaysOn.has(pi) {
+		p.evalPart(wm, wid, pi)
 	}
-	p.evalPart(wm, wid, pi)
 }
 
 // runInline evaluates a level serially on the dispatcher, with direct
 // wakes (so fused serial specs preserve the sequential engine's
 // same-cycle forward triggering) and incremental counter maintenance.
+// Contiguous levels scan flag words like the sequential walk.
 func (p *ParallelCCSS) runInline(li int) {
 	lv := &p.levels[li]
 	wm := p.wm[0]
-	flags := p.flags
+	flags, on := p.flags, p.alwaysOn
 	if lv.contig {
-		for pi := lv.start; pi < lv.end; pi++ {
-			wm.stats.PartChecks++
-			if flags[pi] {
-				flags[pi] = false
-				p.levelActive[li]--
-			} else if !p.parts[pi].alwaysOn {
-				continue
+		wm.stats.PartChecks += uint64(lv.end - lv.start)
+		for w := lv.start / 64; w*64 < lv.end; w++ {
+			span := spanMask(w, lv.start, lv.end)
+			for bs := (flags[w] | on[w]) & span; bs != 0; {
+				b := stdbits.TrailingZeros64(bs)
+				pi := w*64 + int32(b)
+				if flags.has(pi) {
+					flags.clear(pi)
+					p.levelActive[li]--
+				}
+				p.evalDirect(wm, pi)
+				bs = after(flags[w]|on[w], b) & span
 			}
-			p.evalDirect(wm, pi)
 		}
 		return
 	}
 	for _, pi := range lv.parts {
 		wm.stats.PartChecks++
-		if flags[pi] {
-			flags[pi] = false
+		if flags.has(pi) {
+			flags.clear(pi)
 			p.levelActive[li]--
-		} else if !p.parts[pi].alwaysOn {
+		} else if !on.has(pi) {
 			continue
 		}
 		p.evalDirect(wm, pi)
@@ -685,24 +682,15 @@ func (p *ParallelCCSS) runInline(li int) {
 func (p *ParallelCCSS) evalDirect(wm *machine, pi int32) {
 	part := &p.parts[pi]
 	wm.stats.PartEvals++
-	t := wm.t
-	oldVals := p.oldVals
+	t, old := wm.t, p.oldVals
 	for oi := range part.outputs {
-		o := &part.outputs[oi]
-		copy(oldVals[o.oldOff:o.oldOff+o.words], t[o.off:o.off+o.words])
+		part.outputs[oi].save(t, old)
 	}
 	wm.runRange(part.schedStart, part.schedEnd)
+	wm.stats.OutputCompares += uint64(len(part.outputs))
 	for oi := range part.outputs {
 		o := &part.outputs[oi]
-		wm.stats.OutputCompares++
-		changed := false
-		for w := int32(0); w < o.words; w++ {
-			if t[o.off+w] != oldVals[o.oldOff+w] {
-				changed = true
-				break
-			}
-		}
-		if changed {
+		if o.changed(t, old) {
 			wm.stats.SignalChanges++
 			for _, q := range o.consumers {
 				p.wakePart(q)
@@ -740,8 +728,16 @@ func (p *ParallelCCSS) runParallel(li int) {
 	p.bar.release()
 	p.runSpansSafe(0)
 	p.bar.waitDone()
-	// Every flag in the level was consumed by some worker; feedback
-	// wakes (including self-wakes) re-arm below during the merge.
+	// Every flag in the level was consumed by some worker; clear them
+	// here, on the dispatcher. Feedback wakes (including self-wakes)
+	// re-arm below during the merge.
+	if lv := &p.levels[li]; lv.contig {
+		p.flags.clearRange(lv.start, lv.end)
+	} else {
+		for _, pi := range lv.parts {
+			p.flags.clear(pi)
+		}
+	}
 	p.levelActive[li] = p.levels[li].aoBias
 	var pe error
 	for w := range p.wPanic {

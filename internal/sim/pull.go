@@ -133,10 +133,10 @@ func (c *CCSS) stepOnePull() error {
 				break
 			}
 		}
-		if !changed && !part.alwaysOn && !c.flags[p] {
+		if !changed && !c.alwaysOn.has(int32(p)) && !c.flags.has(int32(p)) {
 			continue
 		}
-		c.flags[p] = false
+		c.flags.clear(int32(p))
 		m.stats.PartEvals++
 		// Snapshot inputs (pre-evaluation, so in-place register feedback
 		// re-triggers next cycle).
@@ -187,7 +187,7 @@ func (c *CCSS) stepOnePull() error {
 		}
 		if memChanged {
 			for _, q := range c.memReaderParts[w.mem] {
-				c.flags[q] = true
+				c.flags.set(q)
 			}
 		}
 	}

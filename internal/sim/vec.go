@@ -1,6 +1,7 @@
 package sim
 
 import (
+	stdbits "math/bits"
 	"sort"
 	"sync"
 
@@ -33,9 +34,11 @@ type VecCCSS struct {
 
 	groups []vecGroup
 	// groupAt maps runtime partition ID → group index (-1 scalar);
-	// isLeader marks the member at whose position the group evaluates.
-	groupAt  []int32
-	isLeader []bool
+	// grouped marks every group member and leaders the member at whose
+	// position its group evaluates (the masks the flag-word walk reads).
+	groupAt []int32
+	grouped flagSet
+	leaders flagSet
 
 	workers int
 	wbufs   []vecWorkerBuf
@@ -174,7 +177,8 @@ func NewVecCCSS(d *netlist.Design, opts VecCCSSOptions) (*VecCCSS, error) {
 	for i := range v.groupAt {
 		v.groupAt[i] = -1
 	}
-	v.isLeader = make([]bool, len(c.parts))
+	v.grouped = newFlagSet(len(c.parts))
+	v.leaders = newFlagSet(len(c.parts))
 	if !opts.NoVec {
 		maxLanes := opts.MaxLanes
 		if maxLanes <= 0 || maxLanes > partition.MaxClassLanes {
@@ -222,7 +226,7 @@ func (v *VecCCSS) NumGroups() int { return len(v.groups) }
 // always-on.
 func (v *VecCCSS) vecEligible(p int) bool {
 	part := &v.parts[p]
-	if part.alwaysOn || part.schedEnd == part.schedStart {
+	if v.alwaysOn.has(int32(p)) || part.schedEnd == part.schedStart {
 		return false
 	}
 	m := v.machine
@@ -757,8 +761,9 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		v.groups = append(v.groups, *vg)
 		for _, p := range members {
 			v.groupAt[p] = idx
+			v.grouped.set(int32(p))
 		}
-		v.isLeader[members[0]] = true
+		v.leaders.set(int32(members[0]))
 		v.vst.Groups++
 		v.vst.VecParts += len(members)
 		if len(members) > v.vst.MaxLanes {
@@ -960,30 +965,32 @@ func (v *VecCCSS) Step(n int) error {
 	return nil
 }
 
+// stepOne is the CCSS flag-word walk with classes folded in: a scalar
+// partition runs when flagged or always-on, and a class runs at its
+// leader's position whatever its members' flags say (runGroup collects
+// them); other members are never visited on their own. Wakes arriving
+// at a member after its leader ran can only come from the cycle-boundary
+// commit and are collected next cycle — the legality rule placed every
+// data predecessor before the leader.
 func (v *VecCCSS) stepOne() error {
 	if v.stopErr != nil {
 		return v.stopErr
 	}
 	v.scanInputs()
-	m := v.machine
-	for p := range v.parts {
-		m.stats.PartChecks++
-		if g := v.groupAt[p]; g >= 0 {
-			// Members evaluate at their leader's position; wakes
-			// arriving later in the walk can only come from the
-			// cycle-boundary commit and are collected next cycle —
-			// the legality rule placed every data predecessor
-			// before the leader.
-			if v.isLeader[p] {
-				v.runGroup(&v.groups[g])
+	flags, on, grouped, leaders := v.flags, v.alwaysOn, v.grouped, v.leaders
+	for w := range flags {
+		for bs := flags[w]&^grouped[w] | on[w] | leaders[w]; bs != 0; {
+			b := stdbits.TrailingZeros64(bs)
+			p := int32(w*64 + b)
+			if leaders.has(p) {
+				v.runGroup(&v.groups[v.groupAt[p]])
+			} else {
+				v.evalPart(p)
 			}
-			continue
+			bs = after(flags[w]&^grouped[w]|on[w]|leaders[w], b)
 		}
-		if !v.flags[p] && !v.parts[p].alwaysOn {
-			continue
-		}
-		v.evalPart(p)
 	}
+	v.machine.stats.PartChecks += uint64(len(v.parts))
 	return v.finishCycle()
 }
 
@@ -998,8 +1005,8 @@ const vecParMinActive = 16
 func (v *VecCCSS) runGroup(g *vecGroup) {
 	var mask simrt.LaneMask
 	for l, p := range g.parts {
-		if v.flags[p] {
-			v.flags[p] = false
+		if v.flags.has(p) {
+			v.flags.clear(p)
 			mask |= 1 << uint(l)
 		}
 	}
@@ -1063,7 +1070,7 @@ func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, st *Stats,
 					*wakeBuf = append(*wakeBuf, cons...)
 				} else {
 					for _, q := range cons {
-						v.flags[q] = true
+						v.flags.set(q)
 					}
 				}
 				st.Wakes += uint64(len(cons))
@@ -1143,7 +1150,7 @@ func (v *VecCCSS) runGroupParallel(g *vecGroup, mask simrt.LaneMask, lanes []int
 		m.stats.SignalChanges += wb.stats.SignalChanges
 		m.stats.Wakes += wb.stats.Wakes
 		for _, q := range wb.wakes {
-			v.flags[q] = true
+			v.flags.set(q)
 		}
 		v.dirtyRegs = append(v.dirtyRegs, wb.dirty...)
 	}

@@ -31,6 +31,9 @@ import (
 //	           written words
 //	SM-SINK    side-effect entries (display/check/memwrite) never sit
 //	           inside a skip region
+//	SM-LOWER   every executed record re-derives from its schedule entry
+//	           and instruction (opcode, operands, shift, mask, skip span),
+//	           so the stream that runs is the stream checked above
 //
 // verifyMachine is pure analysis: it never executes an instruction and
 // never mutates the machine.
@@ -49,6 +52,7 @@ func verifyMachine(m *machine, ranges [][2]int32, plan *sched.CCSSPlan,
 	c.checkKeepLive(keepLive)
 	c.checkElide()
 	c.checkParallelAlias()
+	c.checkLowering()
 	return c.diags
 }
 
@@ -382,6 +386,42 @@ func (c *smChecker) walkGroup(gi int) {
 			cur = &smRegion{guard: guard, onZero: onZero, end: tgt, parent: cur}
 		default:
 			c.errf("SM-SKIP", loc(p), "", "unknown schedule entry kind %d", e.kind)
+		}
+	}
+}
+
+// checkLowering (SM-LOWER): runRange executes m.recs, not m.sched, so
+// every record must equal the lowering of its schedule position. One
+// diagnostic per differing field names what the lowering got wrong.
+func (c *smChecker) checkLowering() {
+	m := c.m
+	if len(m.recs) != len(m.sched) {
+		c.errf("SM-LOWER", "recs", "lower every schedule position exactly once",
+			"%d records for %d schedule entries", len(m.recs), len(m.sched))
+		return
+	}
+	for p := range m.recs {
+		got, want := m.recs[p], m.lowerEntry(m.sched[p])
+		if got == want {
+			continue
+		}
+		loc := fmt.Sprintf("recs[%d]", p)
+		if got.op != want.op || got.ops != want.ops || got.skip != want.skip {
+			c.errf("SM-LOWER", loc, "", "opcode %d/weight %d/skip sense %d, lowering gives %d/%d/%d",
+				got.op, got.ops, got.skip, want.op, want.ops, want.skip)
+		}
+		if got.a != want.a || got.b != want.b || got.c != want.c || got.dst != want.dst {
+			c.errf("SM-LOWER", loc, "", "operands a=%d b=%d c=%d dst=%d, lowering gives a=%d b=%d c=%d dst=%d",
+				got.a, got.b, got.c, got.dst, want.a, want.b, want.c, want.dst)
+		}
+		if got.sh != want.sh {
+			c.errf("SM-LOWER", loc, "", "shift %d, lowering gives %d", got.sh, want.sh)
+		}
+		if got.mask != want.mask {
+			c.errf("SM-LOWER", loc, "", "mask %#x, lowering gives %#x", got.mask, want.mask)
+		}
+		if got.n != want.n {
+			c.errf("SM-LOWER", loc, "", "skip span %d, lowering gives %d", got.n, want.n)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"essent/internal/bits"
 	"essent/internal/firrtl"
@@ -131,7 +133,7 @@ func sourceWords(m *machine) []bool {
 }
 
 func TestVerifyMachineClean(t *testing.T) {
-	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc} {
+	for _, src := range []string{smMultiSrc, smElideSrc, smSinkSrc, smLowerSrc} {
 		for _, cp := range []int{1, 8, 1 << 20} {
 			m, ranges, plan, keepLive := buildVerifyMachine(t, src, cp)
 			if diags := verifyMachine(m, ranges, plan, keepLive); len(diags) != 0 {
@@ -270,4 +272,79 @@ func TestSMKeepLiveUnwritten(t *testing.T) {
 		}
 	}
 	t.Skip("fusion left no storeless signal to point at")
+}
+
+// smLowerSrc exercises every inline record field: shifts (shr, bits,
+// cat), masks, and mux-arm guards with skip spans.
+const smLowerSrc = `
+circuit T :
+  module T :
+    input clock : Clock
+    input s : UInt<1>
+    input a : UInt<8>
+    input b : UInt<8>
+    output o : UInt<8>
+    reg r : UInt<8>, clock
+    node x = xor(shr(a, 1), b)
+    node y = or(cat(bits(a, 3, 0), bits(b, 3, 0)), r)
+    r <= mux(s, x, y)
+    o <= r
+`
+
+// TestSMLowerMutations corrupts one field of one executed record at a
+// time; SM-LOWER must name the field. The schedule itself is untouched,
+// so only the record check can see the defect.
+func TestSMLowerMutations(t *testing.T) {
+	narrowShift := func(r *rec) bool {
+		return r.op == IShr || r.op == IBits || r.op == ICat
+	}
+	cases := []struct {
+		name  string
+		want  string
+		match func(r *rec) bool
+		mut   func(r *rec)
+	}{
+		{"opcode", "opcode", func(r *rec) bool { return r.op == IXor },
+			func(r *rec) { r.op = IOr }},
+		{"operand", "operands", func(r *rec) bool { return r.op == IXor },
+			func(r *rec) { r.b = r.a }},
+		{"shift", "shift", narrowShift, func(r *rec) { r.sh++ }},
+		{"mask", "mask", narrowShift, func(r *rec) { r.mask >>= 1 }},
+		{"skip-span", "skip span", func(r *rec) bool { return r.skip != skNone && r.n > 0 },
+			func(r *rec) { r.n-- }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, ranges, plan, keepLive := buildVerifyMachine(t, smLowerSrc, 1<<20)
+			if diags := verifyMachine(m, ranges, plan, keepLive); len(diags) != 0 {
+				t.Fatalf("clean machine produced findings:\n%s", verify.Format(diags))
+			}
+			p := -1
+			for i := range m.recs {
+				if tc.match(&m.recs[i]) {
+					p = i
+					break
+				}
+			}
+			if p < 0 {
+				t.Fatal("no record to mutate")
+			}
+			tc.mut(&m.recs[p])
+			diags := verifyMachine(m, ranges, plan, keepLive)
+			smWantRule(t, diags, "SM-LOWER")
+			for _, d := range diags {
+				if d.Rule == "SM-LOWER" && strings.Contains(d.Msg, tc.want) {
+					return
+				}
+			}
+			t.Fatalf("no SM-LOWER diagnostic names the %s:\n%s", tc.want, verify.Format(diags))
+		})
+	}
+}
+
+// TestRecSize pins the record layout: two records per 64-byte line.
+func TestRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n != 32 {
+		t.Fatalf("rec is %d bytes, want 32", n)
+	}
 }

@@ -100,14 +100,20 @@ func (c *vecChecker) checkClassBijection() {
 					"lane %d partition %d precedes leader %d", li, p, g.parts[0])
 			}
 			wantLeader := li == 0
-			if v.isLeader[p] != wantLeader {
+			if v.leaders.has(p) != wantLeader {
 				c.errf("SM-VEC-CLASS", c.groupLoc(gi),
 					"exactly lane 0 carries the leader mark",
-					"partition %d isLeader=%v", p, v.isLeader[p])
+					"partition %d leader=%v", p, v.leaders.has(p))
 			}
 		}
 	}
 	for p, g := range v.groupAt {
+		if v.grouped.has(int32(p)) != (g >= 0) || g < 0 && v.leaders.has(int32(p)) {
+			c.errf("SM-VEC-CLASS", fmt.Sprintf("partition %d", p),
+				"the walk's member and leader masks must agree with group membership",
+				"partition %d: groupAt=%d grouped=%v leader=%v", p, g,
+				v.grouped.has(int32(p)), v.leaders.has(int32(p)))
+		}
 		if g < 0 {
 			continue
 		}

@@ -158,6 +158,12 @@ func Decode(buf []byte) (*Snapshot, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		// Every entry carries at least its u32 word count, so a count
+		// above the remaining bytes / 4 cannot be honest; refusing it
+		// here keeps a corrupt count from sizing the allocation below.
+		if cnt > (len(body)-d.pos)/4 {
+			return nil, fmt.Errorf("ckptio: implausible entry count %d", cnt)
+		}
 		sec := make([][]uint64, cnt)
 		for i := range sec {
 			n := int(d.u32())

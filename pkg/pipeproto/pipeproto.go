@@ -24,6 +24,7 @@
 package pipeproto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,8 +108,8 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: length %d", ErrBadFrame, n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = readPayload(r, n)
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
 	var tail [8]byte
@@ -124,6 +125,27 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: crc %#x want %#x", ErrBadFrame, got, want)
 	}
 	return typ, payload, nil
+}
+
+// eagerPayload is the largest claimed payload read into one up-front
+// allocation; longer claims are read in chunks.
+const eagerPayload = 1 << 16
+
+// readPayload reads exactly n payload bytes. A claim above eagerPayload
+// grows its buffer as bytes arrive, so a torn or lying length header
+// costs what the peer actually sent, not the length it claimed.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	if n <= eagerPayload {
+		p := make([]byte, n)
+		_, err := io.ReadFull(r, p)
+		return p, err
+	}
+	var b bytes.Buffer
+	b.Grow(eagerPayload)
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 // Payload builders: append-style little-endian encoding.
