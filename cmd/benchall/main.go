@@ -512,7 +512,8 @@ func runSASweep(scale exp.Scale, designsFlag, jsonPath string,
 
 // runGenSweep runs the compiled-backend experiment: artifact build
 // latency cold and warm, then throughput and bit-exactness of the
-// supervised subprocess against the CCSS interpreter.
+// supervised subprocess against the CCSS interpreter. Exits non-zero
+// when any design's compiled state differs from the interpreter's.
 func runGenSweep(scale exp.Scale, designsFlag, jsonPath string,
 	writeCSV func(string, func(*os.File) error)) {
 	var designFilter []string
@@ -544,6 +545,10 @@ func runGenSweep(scale exp.Scale, designsFlag, jsonPath string,
 		if jsonPath != "-" {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
 		}
+	}
+	// The table and JSON above still record the failing rows.
+	if err := exp.CheckGenMatch(rows); err != nil {
+		fatal(err)
 	}
 }
 

@@ -20,6 +20,15 @@ import (
 	"essent/internal/sim"
 )
 
+// FormatVersion identifies the generator's output format. Bump it with
+// any change to the emitted code for an unchanged design and options:
+// the serving backend's artifact cache key includes it, so a bump
+// retires every artifact an older generator built.
+//
+// 2: fixed-size value table kept in a function-local pointer, no
+// self-copy stores, mux shadows taken from the plan.
+const FormatVersion = 2
+
 // Mode selects the generated simulator's execution strategy.
 type Mode int
 
@@ -74,7 +83,7 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 		prog, err = sim.ExportFullCycle(d, opts.Elide)
 	case ModeCCSS:
 		prog, err = sim.ExportCCSSOpts(d, sched.PlanOptions{
-			Cp: opts.Cp, NoElide: opts.NoElide,
+			Cp: opts.Cp, NoElide: opts.NoElide, NoMuxShadow: opts.NoMuxShadow,
 		})
 	default:
 		return nil, fmt.Errorf("codegen: unknown mode %d", opts.Mode)
@@ -82,9 +91,11 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &gen{prog: prog, opts: opts, inlineExpr: map[int32]string{}}
+	g := &gen{prog: prog, opts: opts, b: &strings.Builder{}, inlineExpr: map[int32]string{}}
 	if !opts.NoMuxShadow {
-		g.shadows = computeShadows(prog)
+		// The plan's own arm analysis, exactly as the interpreter engines
+		// consume it (nil for an unoptimized full-cycle plan).
+		g.shadows = prog.Shadows
 	}
 	if !opts.NoPack {
 		g.computeInlineFusion()
@@ -100,7 +111,10 @@ func Generate(d *netlist.Design, opts Options) ([]byte, error) {
 type gen struct {
 	prog *sim.GenProgram
 	opts Options
-	b    strings.Builder
+	b    *strings.Builder
+	// usesT records that the function body being emitted references the
+	// value table, so fn declares the `t := s.t` local.
+	usesT bool
 	// cold collects noinline cold-path function bodies.
 	cold []string
 	// oldOff assigns wide old-value buffer offsets (CCSS).
@@ -150,34 +164,47 @@ const (
 	statFusedPairs     = 9
 )
 
-// computeShadows runs the arm-exclusivity analysis with the program's
-// scopes: partition IDs for CCSS, one scope for full-cycle.
-func computeShadows(prog *sim.GenProgram) *sched.MuxShadows {
-	d := prog.D
-	dg := netlist.BuildGraph(d)
-	scope := make([]int, dg.G.Len())
-	if prog.Plan != nil {
-		for i := range scope {
-			scope[i] = -1
-		}
-		for pi := range prog.Plan.Parts {
-			for _, n := range prog.Plan.Parts[pi].Members {
-				scope[n] = pi
-			}
-		}
-	}
-	nodePos := make([]int, dg.G.Len())
-	for n := range nodePos {
-		if n < len(prog.SchedPosOf) {
-			nodePos[n] = int(prog.SchedPosOf[n])
-		}
-	}
-	return sched.ComputeMuxShadows(d, dg, scope, nodePos)
+func (g *gen) p(format string, args ...any) {
+	fmt.Fprintf(g.b, format, args...)
+	g.b.WriteByte('\n')
 }
 
-func (g *gen) p(format string, args ...any) {
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
+// fn emits `func <sig> {` + body + `}`. A body that touches the value
+// table opens with `t := s.t`: the array pointer lives in a register,
+// so each constant-index access is one load or store, with no reload
+// of s.t after a store and no bounds check. Bodies that never touch
+// the table declare nothing (Go rejects unused locals).
+func (g *gen) fn(sig string, body func()) {
+	outer := g.b
+	g.b = &strings.Builder{}
+	g.usesT = false
+	body()
+	inner := g.b.String()
+	g.b = outer
+	g.p("func %s {", sig)
+	if g.usesT {
+		g.p("  t := s.t")
+	}
+	g.b.WriteString(inner)
+	g.p("}")
+	g.p("")
+}
+
+// tw renders table word off through the function-local array pointer.
+func (g *gen) tw(off int32) string {
+	g.usesT = true
+	return fmt.Sprintf("t[%d]", off)
+}
+
+// span renders the table words [off, off+n) as a slice.
+func (g *gen) span(off, n int32) string {
+	g.usesT = true
+	return fmt.Sprintf("t[%d:%d]", off, off+n)
+}
+
+// view renders a wide operand of width w bits as a table slice.
+func (g *gen) view(off, w int32) string {
+	return g.span(off, int32(bits.Words(int(w))))
 }
 
 func (g *gen) emit() string {
@@ -213,7 +240,7 @@ func (g *gen) emit() string {
 	} else {
 		g.emitFullCycleStep()
 	}
-	g.emitCommit()
+	g.fn("(s *Sim) commit()", g.emitCommit)
 	for _, c := range g.cold {
 		g.b.WriteString(c)
 		g.b.WriteByte('\n')
@@ -254,7 +281,7 @@ func (g *gen) emitStruct() {
 	pr := g.prog
 	g.p("// Sim is the generated simulator state.")
 	g.p("type Sim struct {")
-	g.p("  t []uint64")
+	g.p("  t *[%d]uint64", pr.TableLen)
 	g.p("  mems [][]uint64")
 	g.p("  sc *simrt.Scratch")
 	g.p("  Out io.Writer")
@@ -267,8 +294,11 @@ func (g *gen) emitStruct() {
 		g.p("  pendData [][]uint64")
 	}
 	if g.opts.Mode == ModeCCSS {
-		g.p("  flags []bool")
-		g.p("  pd []bool")
+		// Fixed-size like the table: constant-index flag tests and
+		// wakes compile without bounds checks.
+		np := len(pr.Plan.Parts)
+		g.p("  flags *[%d]bool", np)
+		g.p("  pd *[%d]bool", np)
 		g.p("  prevIn []uint64")
 		g.p("  old []uint64")
 		g.p("  poked bool")
@@ -285,7 +315,7 @@ func (g *gen) emitNew() {
 	d := pr.D
 	g.p("// New builds a simulator with registers at their reset values.")
 	g.p("func New() *Sim {")
-	g.p("  s := &Sim{t: make([]uint64, %d), sc: simrt.NewScratch(%d), Out: io.Discard}",
+	g.p("  s := &Sim{t: new([%d]uint64), sc: simrt.NewScratch(%d), Out: io.Discard}",
 		pr.TableLen, pr.MaxWords)
 	g.p("  s.mems = make([][]uint64, %d)", len(d.Mems))
 	for mi := range d.Mems {
@@ -303,8 +333,8 @@ func (g *gen) emitNew() {
 	}
 	if g.opts.Mode == ModeCCSS {
 		np := len(pr.Plan.Parts)
-		g.p("  s.flags = make([]bool, %d)", np)
-		g.p("  s.pd = make([]bool, %d)", np)
+		g.p("  s.flags = new([%d]bool)", np)
+		g.p("  s.pd = new([%d]bool)", np)
 		g.p("  s.prevIn = make([]uint64, %d)", g.prevInWords())
 		g.p("  s.old = make([]uint64, %d)", g.oldWords())
 	}
@@ -314,39 +344,38 @@ func (g *gen) emitNew() {
 	g.p("")
 	g.p("// Reset restores initial state (registers to reset values, memories")
 	g.p("// zeroed, constants re-materialized).")
-	g.p("func (s *Sim) Reset() {")
-	g.p("  for i := range s.t { s.t[i] = 0 }")
-	g.p("  for _, m := range s.mems { for i := range m { m[i] = 0 } }")
-	offs, vals := pr.ConstWords()
-	for i := range offs {
-		g.p("  s.t[%d] = %#x", offs[i], vals[i])
-	}
-	for ri := range d.Regs {
-		r := &d.Regs[ri]
-		off := pr.Off[r.Out]
-		for w, v := range r.Init {
-			if v != 0 {
-				g.p("  s.t[%d] = %#x // %s init", off+int32(w), v, r.Name)
+	g.fn("(s *Sim) Reset()", func() {
+		g.p("  clear(s.t[:])")
+		g.p("  for _, m := range s.mems { clear(m) }")
+		offs, vals := pr.ConstWords()
+		for i := range offs {
+			g.p("  %s = %#x", g.tw(offs[i]), vals[i])
+		}
+		for ri := range d.Regs {
+			r := &d.Regs[ri]
+			off := pr.Off[r.Out]
+			for w, v := range r.Init {
+				if v != 0 {
+					g.p("  %s = %#x // %s init", g.tw(off+int32(w)), v, r.Name)
+				}
 			}
 		}
-	}
-	if g.opts.Mode == ModeCCSS {
-		g.p("  for i := range s.flags { s.flags[i] = true }")
-		g.p("  for i := range s.pd { s.pd[i] = false }")
-		g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
-		g.p("  s.poked = true")
-	}
-	if g.opts.Serve {
-		g.p("  for i := range s.stats { s.stats[i] = 0 }")
-	}
-	if len(pr.MemWrites) > 0 {
-		g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
-	}
-	g.p("  s.stopErr = nil")
-	g.p("  s.evalErr = nil")
-	g.p("  s.cycle = 0")
-	g.p("}")
-	g.p("")
+		if g.opts.Mode == ModeCCSS {
+			g.p("  for i := range s.flags { s.flags[i] = true }")
+			g.p("  for i := range s.pd { s.pd[i] = false }")
+			g.p("  for i := range s.prevIn { s.prevIn[i] = ^uint64(0) }")
+			g.p("  s.poked = true")
+		}
+		if g.opts.Serve {
+			g.p("  for i := range s.stats { s.stats[i] = 0 }")
+		}
+		if len(pr.MemWrites) > 0 {
+			g.p("  for i := range s.pendValid { s.pendValid[i] = false }")
+		}
+		g.p("  s.stopErr = nil")
+		g.p("  s.evalErr = nil")
+		g.p("  s.cycle = 0")
+	})
 }
 
 func (g *gen) prevInWords() int32 {

@@ -18,20 +18,6 @@ func maskLit(expr string, dw int32) string {
 	return fmt.Sprintf("(%s) & %#x", expr, uint64(1)<<uint(dw)-1)
 }
 
-// load renders a narrow operand, sign-extending stored patterns when the
-// operand is signed.
-func load(off, w int32, signed bool) string {
-	if signed && w < 64 {
-		return fmt.Sprintf("simrt.Sext64(s.t[%d], %d)", off, w)
-	}
-	return fmt.Sprintf("s.t[%d]", off)
-}
-
-// view renders a wide operand slice.
-func view(off, w int32) string {
-	return fmt.Sprintf("s.t[%d:%d]", off, off+int32(bits.Words(int(w))))
-}
-
 // emitEntry emits one schedule entry into the current function body.
 // Instructions claimed by a mux arm are skipped here and emitted inside
 // the owning mux's branch.
@@ -84,7 +70,9 @@ func (g *gen) emitShadowedMux(in *sim.GenInstr, arms *sched.MuxArms) {
 				g.emitInstrShadowAware(&g.prog.Instrs[ii])
 			}
 		}
-		g.p("%s", assign)
+		if assign != "" {
+			g.p("%s", assign)
+		}
 		g.countOp()
 		g.flushOps()
 	}
@@ -92,41 +80,54 @@ func (g *gen) emitShadowedMux(in *sim.GenInstr, arms *sched.MuxArms) {
 	fAssign := g.muxArmAssign(in, false)
 	op := g.opOf(in.Out)
 	if op != nil && op.Unlikely {
-		g.p("if s.t[%d] == 0 {", in.A)
+		g.p("if %s == 0 {", g.tw(in.A))
 		emitArm(arms.F, fAssign)
 		g.p("} else {")
 		emitArm(arms.T, tAssign)
 		g.p("}")
 		return
 	}
-	g.p("if s.t[%d] != 0 {", in.A)
+	g.p("if %s != 0 {", g.tw(in.A))
 	emitArm(arms.T, tAssign)
 	g.p("} else {")
 	emitArm(arms.F, fAssign)
 	g.p("}")
 }
 
-// muxArmAssign renders the assignment of one mux arm to the destination.
+// muxArmAssign renders the assignment of one mux arm to the destination
+// ("" for a narrow self-copy, see store).
 func (g *gen) muxArmAssign(in *sim.GenInstr, tArm bool) string {
 	if in.Wide {
 		if tArm {
 			return fmt.Sprintf("s.sc.Copy(%s, %s, %d, %v, %d)",
-				view(in.Dst, in.DW), view(in.B, in.BW), in.BW, in.SB, in.DW)
+				g.view(in.Dst, in.DW), g.view(in.B, in.BW), in.BW, in.SB, in.DW)
 		}
 		return fmt.Sprintf("s.sc.Copy(%s, %s, %d, %v, %d)",
-			view(in.Dst, in.DW), view(in.C, in.CW), in.CW, in.SC, in.DW)
+			g.view(in.Dst, in.DW), g.view(in.C, in.CW), in.CW, in.SC, in.DW)
 	}
-	d := fmt.Sprintf("s.t[%d]", in.Dst)
 	if tArm {
-		if !in.SB && in.BW <= in.DW {
-			return fmt.Sprintf("%s = s.t[%d]", d, in.B)
-		}
-		return fmt.Sprintf("%s = %s", d, maskLit(load(in.B, in.BW, in.SB), in.DW))
+		return store(g.tw(in.Dst), g.armValue(in.B, in.BW, in.SB, in.DW))
 	}
-	if !in.SC && in.CW <= in.DW {
-		return fmt.Sprintf("%s = s.t[%d]", d, in.C)
+	return store(g.tw(in.Dst), g.armValue(in.C, in.CW, in.SC, in.DW))
+}
+
+// armValue renders a narrow mux arm (or copy source) of width w as a
+// dw-bit value.
+func (g *gen) armValue(off, w int32, signed bool, dw int32) string {
+	if !signed && w <= dw {
+		return g.tref(off)
 	}
-	return fmt.Sprintf("%s = %s", d, maskLit(load(in.C, in.CW, in.SC), in.DW))
+	return maskLit(g.loadT(off, w, signed), dw)
+}
+
+// store renders `dst = rhs`, or "" for a self-copy: the hold arm of an
+// elided register reads the storage it writes, and go vet rejects the
+// no-op assignment. The caller still counts the instruction.
+func store(dst, rhs string) string {
+	if dst == rhs {
+		return ""
+	}
+	return dst + " = " + rhs
 }
 
 func (g *gen) emitInstr(in *sim.GenInstr) {
@@ -135,7 +136,7 @@ func (g *gen) emitInstr(in *sim.GenInstr) {
 		g.emitWide(in)
 		return
 	}
-	d := fmt.Sprintf("s.t[%d]", in.Dst)
+	d := g.tw(in.Dst)
 	a := func() string { return g.loadT(in.A, in.AW, in.SA) }
 	b := func() string { return g.loadT(in.B, in.BW, in.SB) }
 	au := func() string { return g.tref(in.A) }
@@ -143,10 +144,8 @@ func (g *gen) emitInstr(in *sim.GenInstr) {
 
 	switch in.Code {
 	case sim.ICopy:
-		if !in.SA && in.AW <= in.DW {
-			g.p("%s = %s", d, au())
-		} else {
-			g.p("%s = %s", d, maskLit(a(), in.DW))
+		if st := store(d, g.armValue(in.A, in.AW, in.SA, in.DW)); st != "" {
+			g.p("%s", st)
 		}
 	case sim.IMux:
 		if g.packable1(in) {
@@ -155,20 +154,21 @@ func (g *gen) emitInstr(in *sim.GenInstr) {
 			g.p("%s = %s&%s | (%s^1)&%s", d, au(), bu(), au(), g.tref(in.C))
 			break
 		}
-		tArm := maskLit(g.loadT(in.B, in.BW, in.SB), in.DW)
-		if !in.SB && in.BW <= in.DW {
-			tArm = bu()
-		}
-		fArm := maskLit(g.loadT(in.C, in.CW, in.SC), in.DW)
-		if !in.SC && in.CW <= in.DW {
-			fArm = g.tref(in.C)
-		}
+		tS := store(d, g.armValue(in.B, in.BW, in.SB, in.DW))
+		fS := store(d, g.armValue(in.C, in.CW, in.SC, in.DW))
 		op := g.opOf(in.Out)
-		if op != nil && op.Unlikely {
+		switch {
+		case tS == "" && fS == "":
+			// Both arms hold the destination: nothing to store.
+		case fS == "":
+			g.p("if %s != 0 { %s }", au(), tS)
+		case tS == "":
+			g.p("if %s == 0 { %s }", au(), fS)
+		case op != nil && op.Unlikely:
 			// Cold-path layout: the likely (non-reset) arm first.
-			g.p("if %s == 0 { %s = %s } else { %s = %s }", au(), d, fArm, d, tArm)
-		} else {
-			g.p("if %s != 0 { %s = %s } else { %s = %s }", au(), d, tArm, d, fArm)
+			g.p("if %s == 0 { %s } else { %s }", au(), fS, tS)
+		default:
+			g.p("if %s != 0 { %s } else { %s }", au(), tS, fS)
 		}
 	case sim.IMemRead:
 		m := &g.prog.D.Mems[in.Mem]
@@ -182,15 +182,15 @@ func (g *gen) emitInstr(in *sim.GenInstr) {
 		g.p("%s = %s", d, maskLit(a()+" * "+b(), in.DW))
 	case sim.IDiv:
 		if in.SA {
-			g.p("%s = simrt.DivS64(s.t[%d], %d, s.t[%d], %d, %d)",
-				d, in.A, in.AW, in.B, in.BW, in.DW)
+			g.p("%s = simrt.DivS64(%s, %d, %s, %d, %d)",
+				d, g.tw(in.A), in.AW, g.tw(in.B), in.BW, in.DW)
 		} else {
 			g.p("%s = simrt.DivU64(%s, %s, %d)", d, au(), bu(), in.DW)
 		}
 	case sim.IRem:
 		if in.SA {
-			g.p("%s = simrt.RemS64(s.t[%d], %d, s.t[%d], %d, %d)",
-				d, in.A, in.AW, in.B, in.BW, in.DW)
+			g.p("%s = simrt.RemS64(%s, %d, %s, %d, %d)",
+				d, g.tw(in.A), in.AW, g.tw(in.B), in.BW, in.DW)
 		} else {
 			g.p("%s = simrt.RemU64(%s, %s, %d)", d, au(), bu(), in.DW)
 		}
@@ -255,20 +255,20 @@ func (g *gen) opOf(out netlist.SignalID) *netlist.Op {
 }
 
 func (g *gen) emitWide(in *sim.GenInstr) {
-	dst := view(in.Dst, in.DW)
-	va := func() string { return view(in.A, in.AW) }
-	vb := func() string { return view(in.B, in.BW) }
+	dst := g.view(in.Dst, in.DW)
+	va := func() string { return g.view(in.A, in.AW) }
+	vb := func() string { return g.view(in.B, in.BW) }
 	switch in.Code {
 	case sim.ICopy:
 		g.p("s.sc.Copy(%s, %s, %d, %v, %d)", dst, va(), in.AW, in.SA, in.DW)
 	case sim.IMux:
-		g.p("s.sc.Mux(%s, s.t[%d], %s, %d, %v, %s, %d, %v, %d)",
-			dst, in.A, view(in.B, in.BW), in.BW, in.SB,
-			view(in.C, in.CW), in.CW, in.SC, in.DW)
+		g.p("s.sc.Mux(%s, %s, %s, %d, %v, %s, %d, %v, %d)",
+			dst, g.tw(in.A), g.view(in.B, in.BW), in.BW, in.SB,
+			g.view(in.C, in.CW), in.CW, in.SC, in.DW)
 	case sim.IMemRead:
 		m := &g.prog.D.Mems[in.Mem]
-		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, s.t[%d])",
-			dst, in.Mem, bits.Words(m.Width), m.Depth, in.A)
+		g.p("simrt.MemRead(%s, s.mems[%d], %d, %d, %s)",
+			dst, in.Mem, bits.Words(m.Width), m.Depth, g.tw(in.A))
 	case sim.IAdd:
 		g.p("s.sc.Add(%s, %s, %d, %v, %s, %d, %v, %d)",
 			dst, va(), in.AW, in.SA, vb(), in.BW, in.SB, in.DW)
@@ -288,23 +288,23 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 		cmpOp := map[sim.ICode]string{
 			sim.ILt: "< 0", sim.ILeq: "<= 0", sim.IGt: "> 0", sim.IGeq: ">= 0",
 		}[in.Code]
-		g.p("s.t[%d] = simrt.B2U(s.sc.Cmp(%s, %d, %s, %d, %v) %s)",
-			in.Dst, va(), in.AW, vb(), in.BW, in.SA, cmpOp)
+		g.p("%s = simrt.B2U(s.sc.Cmp(%s, %d, %s, %d, %v) %s)",
+			g.tw(in.Dst), va(), in.AW, vb(), in.BW, in.SA, cmpOp)
 	case sim.IEq:
-		g.p("s.t[%d] = simrt.B2U(s.sc.Eq(%s, %d, %v, %s, %d, %v))",
-			in.Dst, va(), in.AW, in.SA, vb(), in.BW, in.SB)
+		g.p("%s = simrt.B2U(s.sc.Eq(%s, %d, %v, %s, %d, %v))",
+			g.tw(in.Dst), va(), in.AW, in.SA, vb(), in.BW, in.SB)
 	case sim.INeq:
-		g.p("s.t[%d] = simrt.B2U(!s.sc.Eq(%s, %d, %v, %s, %d, %v))",
-			in.Dst, va(), in.AW, in.SA, vb(), in.BW, in.SB)
+		g.p("%s = simrt.B2U(!s.sc.Eq(%s, %d, %v, %s, %d, %v))",
+			g.tw(in.Dst), va(), in.AW, in.SA, vb(), in.BW, in.SB)
 	case sim.IShl:
 		g.p("s.sc.Shl(%s, %s, %d, %d)", dst, va(), in.P0, in.DW)
 	case sim.IShr:
 		g.p("s.sc.Shr(%s, %s, %d, %d, %v, %d)", dst, va(), in.P0, in.AW, in.SA, in.DW)
 	case sim.IDshl:
-		g.p("s.sc.Shl(%s, %s, int(s.t[%d]), %d)", dst, va(), in.B, in.DW)
+		g.p("s.sc.Shl(%s, %s, int(%s), %d)", dst, va(), g.tw(in.B), in.DW)
 	case sim.IDshr:
-		g.p("s.sc.Shr(%s, %s, int(s.t[%d]), %d, %v, %d)",
-			dst, va(), in.B, in.AW, in.SA, in.DW)
+		g.p("s.sc.Shr(%s, %s, int(%s), %d, %v, %d)",
+			dst, va(), g.tw(in.B), in.AW, in.SA, in.DW)
 	case sim.INeg:
 		g.p("s.sc.Neg(%s, %s, %d, %v, %d)", dst, va(), in.AW, in.SA, in.DW)
 	case sim.INot:
@@ -319,11 +319,11 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 		g.p("s.sc.Logic(%s, 2, %s, %d, %v, %s, %d, %v, %d)",
 			dst, va(), in.AW, in.SA, vb(), in.BW, in.SB, in.DW)
 	case sim.IAndr:
-		g.p("s.t[%d] = simrt.AndR(%s, %d)", in.Dst, va(), in.AW)
+		g.p("%s = simrt.AndR(%s, %d)", g.tw(in.Dst), va(), in.AW)
 	case sim.IOrr:
-		g.p("s.t[%d] = simrt.OrR(%s)", in.Dst, va())
+		g.p("%s = simrt.OrR(%s)", g.tw(in.Dst), va())
 	case sim.IXorr:
-		g.p("s.t[%d] = simrt.XorR(%s)", in.Dst, va())
+		g.p("%s = simrt.XorR(%s)", g.tw(in.Dst), va())
 	case sim.ICat:
 		g.p("s.sc.Cat(%s, %s, %d, %s, %d)", dst, va(), in.AW, vb(), in.BW)
 	case sim.IBits:
@@ -340,7 +340,7 @@ func (g *gen) emitWide(in *sim.GenInstr) {
 // emitDisplayCall guards and calls a cold display function.
 func (g *gen) emitDisplayCall(i int32) {
 	disp := &g.prog.Displays[i]
-	g.p("if s.t[%d]&1 == 1 { s.display%d() }", disp.En.Off, i)
+	g.p("if %s&1 == 1 { s.display%d() }", g.tw(disp.En.Off), i)
 	// Cold body, generated once.
 	var cb strings.Builder
 	fmt.Fprintf(&cb, "//go:noinline\nfunc (s *Sim) display%d() {\n", i)
@@ -405,10 +405,10 @@ func translateFormat(f string, args []sim.GenOperand) (string, string) {
 func (g *gen) emitCheckCall(i int32) {
 	c := &g.prog.Checks[i]
 	if c.Stop {
-		g.p("if s.t[%d]&1 == 1 { s.check%d() }", c.En.Off, i)
+		g.p("if %s&1 == 1 { s.check%d() }", g.tw(c.En.Off), i)
 	} else {
-		g.p("if s.t[%d]&1 == 1 && s.t[%d]&1 == 0 { s.check%d() }",
-			c.En.Off, c.Pred.Off, i)
+		g.p("if %s&1 == 1 && %s&1 == 0 { s.check%d() }",
+			g.tw(c.En.Off), g.tw(c.Pred.Off), i)
 	}
 	var cb strings.Builder
 	fmt.Fprintf(&cb, "//go:noinline\nfunc (s *Sim) check%d() {\n", i)
@@ -426,18 +426,18 @@ func (g *gen) emitCheckCall(i int32) {
 func (g *gen) emitMemWriteCapture(i int32) {
 	w := &g.prog.MemWrites[i]
 	nw := bits.Words(int(w.Data.W))
-	g.p("if s.t[%d]&1 == 1 && s.t[%d]&1 == 1 {", w.En.Off, w.Mask.Off)
+	g.p("if %s&1 == 1 && %s&1 == 1 {", g.tw(w.En.Off), g.tw(w.Mask.Off))
 	g.p("  s.pendValid[%d] = true", i)
-	g.p("  s.pendAddr[%d] = s.t[%d]", i, w.Addr.Off)
-	g.p("  copy(s.pendData[%d], s.t[%d:%d])", i, w.Data.Off, w.Data.Off+int32(nw))
+	g.p("  s.pendAddr[%d] = %s", i, g.tw(w.Addr.Off))
+	g.p("  copy(s.pendData[%d], %s)", i, g.span(w.Data.Off, int32(nw)))
 	g.p("} else { s.pendValid[%d] = false }", i)
 }
 
-// emitCommit emits the end-of-cycle state advance shared by both modes.
+// emitCommit emits the body of commit, the end-of-cycle state advance
+// shared by both modes.
 func (g *gen) emitCommit() {
 	pr := g.prog
 	d := pr.D
-	g.p("func (s *Sim) commit() {")
 	// Two-phase register copies (full-cycle mode commits every cycle;
 	// CCSS handles its registers in partition-dirty blocks).
 	if g.opts.Mode == ModeFullCycle {
@@ -445,7 +445,7 @@ func (g *gen) emitCommit() {
 			r := &d.Regs[ri]
 			no, oo := pr.Off[r.Next], pr.Off[r.Out]
 			for w := int32(0); w < int32(bits.Words(d.Signals[r.Out].Width)); w++ {
-				g.p("  s.t[%d] = s.t[%d] // %s", oo+w, no+w, r.Name)
+				g.p("  %s = %s // %s", g.tw(oo+w), g.tw(no+w), r.Name)
 			}
 		}
 	} else {
@@ -478,8 +478,6 @@ func (g *gen) emitCommit() {
 		g.p("    }")
 		g.p("  }")
 	}
-	g.p("}")
-	g.p("")
 }
 
 // emitCCSSRegCommits emits per-partition dirty blocks: compare, copy, and
@@ -501,12 +499,12 @@ func (g *gen) emitCCSSRegCommits() {
 				g.p("    s.stats[%d]++", statOutputCompares)
 			}
 			if nw == 1 {
-				g.p("    if s.t[%d] != s.t[%d] { // %s", oo, no, r.Name)
-				g.p("      s.t[%d] = s.t[%d]", oo, no)
+				g.p("    if %s != %s { // %s", g.tw(oo), g.tw(no), r.Name)
+				g.p("      %s = %s", g.tw(oo), g.tw(no))
 			} else {
-				g.p("    if !simrt.EqualWords(s.t[%d:%d], s.t[%d:%d]) { // %s",
-					oo, oo+nw, no, no+nw, r.Name)
-				g.p("      copy(s.t[%d:%d], s.t[%d:%d])", oo, oo+nw, no, no+nw)
+				g.p("    if !simrt.EqualWords(%s, %s) { // %s",
+					g.span(oo, nw), g.span(no, nw), r.Name)
+				g.p("      copy(%s, %s)", g.span(oo, nw), g.span(no, nw))
 			}
 			if g.opts.Serve {
 				g.p("      s.stats[%d]++", statSignalChanges)
@@ -547,15 +545,14 @@ func (g *gen) emitFullCycleStep() {
 	g.p("}")
 	g.p("")
 	for c := 0; c < nChunks; c++ {
-		g.p("func (s *Sim) eval%d() {", c)
 		lo := c * chunkSize
 		hi := min(lo+chunkSize, len(g.prog.Sched))
-		for _, e := range g.prog.Sched[lo:hi] {
-			g.emitEntry(e)
-		}
-		g.flushOps()
-		g.p("}")
-		g.p("")
+		g.fn(fmt.Sprintf("(s *Sim) eval%d()", c), func() {
+			for _, e := range g.prog.Sched[lo:hi] {
+				g.emitEntry(e)
+			}
+			g.flushOps()
+		})
 	}
 }
 
@@ -599,98 +596,102 @@ func (g *gen) emitCCSSStep() {
 	g.p("")
 
 	// Input change detection.
-	g.p("func (s *Sim) detectInputs() {")
-	if g.opts.Serve && len(d.Inputs) > 0 {
-		g.p("  s.stats[%d] += %d", statInputChecks, len(d.Inputs))
-	}
-	prevOff := int32(0)
-	for i, in := range d.Inputs {
-		words := int32(bits.Words(d.Signals[in].Width))
-		off := pr.Off[in]
-		if words == 1 {
-			g.p("  if s.t[%d] != s.prevIn[%d] {", off, prevOff)
-			g.p("    s.prevIn[%d] = s.t[%d]", prevOff, off)
-		} else {
-			g.p("  if !simrt.EqualWords(s.t[%d:%d], s.prevIn[%d:%d]) {",
-				off, off+words, prevOff, prevOff+words)
-			g.p("    copy(s.prevIn[%d:%d], s.t[%d:%d])", prevOff, prevOff+words, off, off+words)
+	g.fn("(s *Sim) detectInputs()", func() {
+		if g.opts.Serve && len(d.Inputs) > 0 {
+			g.p("  s.stats[%d] += %d", statInputChecks, len(d.Inputs))
 		}
-		for _, p := range plan.InputConsumers[i] {
-			g.p("    s.flags[%d] = true", p)
+		prevOff := int32(0)
+		for i, in := range d.Inputs {
+			words := int32(bits.Words(d.Signals[in].Width))
+			off := pr.Off[in]
+			if words == 1 {
+				g.p("  if %s != s.prevIn[%d] {", g.tw(off), prevOff)
+				g.p("    s.prevIn[%d] = %s", prevOff, g.tw(off))
+			} else {
+				g.p("  if !simrt.EqualWords(%s, s.prevIn[%d:%d]) {",
+					g.span(off, words), prevOff, prevOff+words)
+				g.p("    copy(s.prevIn[%d:%d], %s)", prevOff, prevOff+words, g.span(off, words))
+			}
+			for _, p := range plan.InputConsumers[i] {
+				g.p("    s.flags[%d] = true", p)
+			}
+			if g.opts.Serve && len(plan.InputConsumers[i]) > 0 {
+				g.p("    s.stats[%d] += %d", statWakes, len(plan.InputConsumers[i]))
+			}
+			g.p("  }")
+			prevOff += words
 		}
-		if g.opts.Serve && len(plan.InputConsumers[i]) > 0 {
-			g.p("    s.stats[%d] += %d", statWakes, len(plan.InputConsumers[i]))
-		}
-		g.p("  }")
-		prevOff += words
-	}
-	g.p("}")
-	g.p("")
+	})
 
 	// Partition functions.
 	for pi := range plan.Parts {
-		part := &plan.Parts[pi]
-		g.p("func (s *Sim) p%d() {", pi)
+		g.fn(fmt.Sprintf("(s *Sim) p%d()", pi), func() { g.emitPartBody(pi) })
+	}
+}
+
+// emitPartBody emits one partition function's body: save the outputs'
+// old values, evaluate members in schedule order, then compare outputs
+// and wake their consumers.
+func (g *gen) emitPartBody(pi int) {
+	pr := g.prog
+	d := pr.D
+	part := &pr.Plan.Parts[pi]
+	if g.opts.Serve {
+		g.p("  s.stats[%d]++", statPartEvals)
+	}
+	// Save old outputs.
+	var narrowOlds []string
+	var wideOlds []string
+	for oi, o := range part.Outputs {
+		w := d.Signals[o.Sig].Width
+		off := pr.Off[o.Sig]
+		if w <= 64 {
+			name := fmt.Sprintf("o%d", oi)
+			g.p("  %s := %s", name, g.tw(off))
+			narrowOlds = append(narrowOlds, name)
+			wideOlds = append(wideOlds, "")
+		} else {
+			words := int32(bits.Words(w))
+			g.p("  copy(s.old[%d:%d], %s)", g.oldOff, g.oldOff+words, g.span(off, words))
+			narrowOlds = append(narrowOlds, "")
+			wideOlds = append(wideOlds, fmt.Sprintf("s.old[%d:%d]", g.oldOff, g.oldOff+words))
+			g.oldOff += words
+		}
+	}
+	// Entries in schedule order.
+	for _, node := range part.Members {
+		pos := pr.SchedPosOf[node]
+		if pos < 0 {
+			continue
+		}
+		g.emitEntry(pr.Sched[pos])
+	}
+	g.flushOps()
+	// Change detection + wakes.
+	for oi, o := range part.Outputs {
+		w := d.Signals[o.Sig].Width
+		off := pr.Off[o.Sig]
 		if g.opts.Serve {
-			g.p("  s.stats[%d]++", statPartEvals)
+			g.p("  s.stats[%d]++", statOutputCompares)
 		}
-		// Save old outputs.
-		var narrowOlds []string
-		var wideOlds []string
-		for oi, o := range part.Outputs {
-			w := d.Signals[o.Sig].Width
-			off := pr.Off[o.Sig]
-			if w <= 64 {
-				name := fmt.Sprintf("o%d", oi)
-				g.p("  %s := s.t[%d]", name, off)
-				narrowOlds = append(narrowOlds, name)
-				wideOlds = append(wideOlds, "")
-			} else {
-				words := int32(bits.Words(w))
-				g.p("  copy(s.old[%d:%d], s.t[%d:%d])",
-					g.oldOff, g.oldOff+words, off, off+words)
-				narrowOlds = append(narrowOlds, "")
-				wideOlds = append(wideOlds, fmt.Sprintf("s.old[%d:%d]", g.oldOff, g.oldOff+words))
-				g.oldOff += words
-			}
+		if w <= 64 {
+			g.p("  if %s != %s {", g.tw(off), narrowOlds[oi])
+		} else {
+			words := int32(bits.Words(w))
+			g.p("  if !simrt.EqualWords(%s, %s) {", g.span(off, words), wideOlds[oi])
 		}
-		// Entries in schedule order.
-		for _, node := range part.Members {
-			pos := pr.SchedPosOf[node]
-			if pos < 0 {
-				continue
-			}
-			g.emitEntry(pr.Sched[pos])
+		if g.opts.Serve {
+			g.p("    s.stats[%d]++", statSignalChanges)
 		}
-		g.flushOps()
-		// Change detection + wakes.
-		for oi, o := range part.Outputs {
-			w := d.Signals[o.Sig].Width
-			off := pr.Off[o.Sig]
-			if g.opts.Serve {
-				g.p("  s.stats[%d]++", statOutputCompares)
-			}
-			if w <= 64 {
-				g.p("  if s.t[%d] != %s {", off, narrowOlds[oi])
-			} else {
-				words := int32(bits.Words(w))
-				g.p("  if !simrt.EqualWords(s.t[%d:%d], %s) {", off, off+words, wideOlds[oi])
-			}
-			if g.opts.Serve {
-				g.p("    s.stats[%d]++", statSignalChanges)
-			}
-			for _, q := range o.Consumers {
-				g.p("    s.flags[%d] = true", q)
-			}
-			if g.opts.Serve && len(o.Consumers) > 0 {
-				g.p("    s.stats[%d] += %d", statWakes, len(o.Consumers))
-			}
-			g.p("  }")
+		for _, q := range o.Consumers {
+			g.p("    s.flags[%d] = true", q)
 		}
-		if len(part.Regs) > 0 {
-			g.p("  s.pd[%d] = true", pi)
+		if g.opts.Serve && len(o.Consumers) > 0 {
+			g.p("    s.stats[%d] += %d", statWakes, len(o.Consumers))
 		}
-		g.p("}")
-		g.p("")
+		g.p("  }")
+	}
+	if len(part.Regs) > 0 {
+		g.p("  s.pd[%d] = true", pi)
 	}
 }

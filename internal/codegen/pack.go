@@ -117,23 +117,25 @@ func (g *gen) boolExpr(in *sim.GenInstr) string {
 	case sim.IMux:
 		return fmt.Sprintf("(%s&%s | (%s^1)&%s)", a(), b(), a(), c())
 	}
-	return fmt.Sprintf("s.t[%d]", in.Dst)
+	return g.tw(in.Dst)
 }
 
 // tref renders a single-word table read: the inlined producer's
 // expression when the offset was fused away, a plain load otherwise.
 func (g *gen) tref(off int32) string {
 	if e, ok := g.inlineExpr[off]; ok {
+		g.usesT = true // an inlined expression reads table words
 		return e
 	}
-	return fmt.Sprintf("s.t[%d]", off)
+	return g.tw(off)
 }
 
-// loadT is load() routed through tref for unsigned operands (inlined
+// loadT renders a narrow operand, sign-extending stored patterns when
+// the operand is signed. Unsigned operands route through tref (inlined
 // producers are always unsigned, so the signed path never sees one).
 func (g *gen) loadT(off, w int32, signed bool) string {
 	if signed && w < 64 {
-		return fmt.Sprintf("simrt.Sext64(s.t[%d], %d)", off, w)
+		return fmt.Sprintf("simrt.Sext64(%s, %d)", g.tw(off), w)
 	}
 	return g.tref(off)
 }

@@ -128,6 +128,23 @@ func GenSweep(scale Scale, designFilter []string) ([]GenRow, error) {
 	return rows, nil
 }
 
+// CheckGenMatch fails when any row's compiled backend did not end
+// bit-exact with the interpreter, naming every such design; a sweep
+// with a wrong answer must not pass as a measurement.
+func CheckGenMatch(rows []GenRow) error {
+	var bad []string
+	for _, r := range rows {
+		if !r.StateMatch {
+			bad = append(bad, r.Design)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("exp: compiled backend state differs from the interpreter on %s",
+			strings.Join(bad, ", "))
+	}
+	return nil
+}
+
 // runGenOnce times one self-stimulated run on an already-built
 // simulator, resetting first so reps are comparable.
 func runGenOnce(cd saDesign, d *netlist.Design, s sim.Simulator, cycles int) (time.Duration, error) {

@@ -35,10 +35,11 @@ const (
 // cacheKey names the cache entry for a design + generation options
 // pair. The design fingerprint covers the netlist's state layout; the
 // options tag covers every generation knob that changes the emitted
-// code.
+// code; the generator format version covers changes to the generator
+// itself, so artifacts from an older generator are never served.
 func cacheKey(d *netlist.Design, gen codegen.Options) string {
-	tag := optsTag(gen)
-	return fmt.Sprintf("%016x-%s", sim.DesignFingerprint(d), tag)
+	return fmt.Sprintf("%016x-%s-g%d", sim.DesignFingerprint(d), optsTag(gen),
+		codegen.FormatVersion)
 }
 
 func optsTag(gen codegen.Options) string {

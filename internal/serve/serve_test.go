@@ -118,7 +118,7 @@ func driveBoth(t *testing.T, a, b sim.Simulator, d *netlist.Design, cycles int) 
 	}
 	for c := 0; c < cycles; c += 16 {
 		if len(ins) > 0 && c%48 == 0 {
-			id := ins[int(xorshift())%len(ins)]
+			id := ins[xorshift()%uint64(len(ins))]
 			v := xorshift()
 			a.Poke(id, v)
 			b.Poke(id, v)
@@ -153,6 +153,20 @@ func normStats(st *sim.Stats) sim.Stats {
 	return n
 }
 
+// mac4 compiles + optimizes a 4×4 MAC array: PEs read their
+// neighbours' in-place-updated registers inside claimed mux-arm cones,
+// the pattern that broke compiled CCSS when codegen ran its own shadow
+// analysis instead of the plan's.
+func mac4(t *testing.T) *netlist.Design {
+	t.Helper()
+	circ, err := designs.BuildMACArray(designs.MACArrayConfig{
+		Name: "mac4", Rows: 4, Cols: 4, DataW: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compileOpt(t, circ)
+}
+
 // TestCompiledMatchesInterpreter drives the compiled subprocess and the
 // in-process interpreter through the same schedule and demands
 // bit-exact state plus matching activity counters.
@@ -160,25 +174,46 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a compiled artifact")
 	}
-	d := smallSoC(t)
-	s := newSession(t, d, testConfig())
-	if s.Degraded() {
-		t.Fatalf("session degraded at start: %+v", s.Degradation())
-	}
-	ip := newInterp(t, d)
-	s.Reset()
-	ip.Reset()
-	driveBoth(t, s, ip, d, 3000)
-	if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
-		t.Fatalf("state hash mismatch: compiled %#x interp %#x", got, want)
-	}
-	gotStats := normStats(s.Stats())
-	wantStats := normStats(ip.Stats())
-	if gotStats != wantStats {
-		t.Fatalf("stats mismatch:\ncompiled: %+v\ninterp:   %+v", gotStats, wantStats)
-	}
-	if s.Degraded() {
-		t.Fatalf("unexpected degradation: %+v", s.Degradation())
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *netlist.Design
+		// enable names an input held at 1 before the random schedule so
+		// the design is active from the first cycle ("" for none).
+		enable string
+	}{
+		{"soc", smallSoC, ""},
+		{"mac4", mac4, designs.MACEnInput},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.build(t)
+			s := newSession(t, d, testConfig())
+			if s.Degraded() {
+				t.Fatalf("session degraded at start: %+v", s.Degradation())
+			}
+			ip := newInterp(t, d)
+			s.Reset()
+			ip.Reset()
+			if tc.enable != "" {
+				id, ok := d.SignalByName(tc.enable)
+				if !ok {
+					t.Fatalf("no input %s", tc.enable)
+				}
+				s.Poke(id, 1)
+				ip.Poke(id, 1)
+			}
+			driveBoth(t, s, ip, d, 3000)
+			if got, want := stateHashOf(t, s), stateHashOf(t, ip); got != want {
+				t.Fatalf("state hash mismatch: compiled %#x interp %#x", got, want)
+			}
+			gotStats := normStats(s.Stats())
+			wantStats := normStats(ip.Stats())
+			if gotStats != wantStats {
+				t.Fatalf("stats mismatch:\ncompiled: %+v\ninterp:   %+v", gotStats, wantStats)
+			}
+			if s.Degraded() {
+				t.Fatalf("unexpected degradation: %+v", s.Degradation())
+			}
+		})
 	}
 }
 
@@ -255,6 +290,39 @@ func TestCorruptCacheEvicted(t *testing.T) {
 	}
 }
 
+// TestStaleGeneratorEntryNotServed plants valid cache entries under the
+// keys an older generator used — before the key carried a format
+// version, and the previous version — and checks neither is served,
+// while the same entry under the current key is.
+func TestStaleGeneratorEntryNotServed(t *testing.T) {
+	d := smallSoC(t)
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	plant := func(key string) {
+		t.Helper()
+		dir := cfg.cacheDir(key)
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, binName), []byte("stale artifact"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.seal(dir, d, cfg.Gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := fmt.Sprintf("%016x-%s", sim.DesignFingerprint(d), optsTag(cfg.Gen))
+	plant(prefix)
+	plant(fmt.Sprintf("%s-g%d", prefix, codegen.FormatVersion-1))
+	if Probe(d, cfg.Gen, cfg) {
+		t.Fatal("an artifact built by an older generator was served")
+	}
+	plant(cacheKey(d, cfg.Gen))
+	if !Probe(d, cfg.Gen, cfg) {
+		t.Fatal("a valid entry under the current key was not served")
+	}
+}
+
 // TestBuildFailureDegrades forces the toolchain to fail and checks the
 // session comes up on the interpreter with a structured record — no
 // user-visible error.
@@ -319,7 +387,7 @@ func TestKillMidRunResumes(t *testing.T) {
 	}
 	for c := 0; c < 2000; c += 50 {
 		if len(ins) > 0 {
-			id := ins[int(xorshift())%len(ins)]
+			id := ins[xorshift()%uint64(len(ins))]
 			v := xorshift()
 			s.Poke(id, v)
 			ip.Poke(id, v)

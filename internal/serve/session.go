@@ -798,7 +798,13 @@ func (s *Session) keep(err error) error {
 // stepSegmentSupervised runs one bounded segment with crash recovery.
 // Returns (designOutcome, supervisionFailure).
 func (s *Session) stepSegmentSupervised(k int) (error, error) {
-	prev := append([]byte(nil), s.lastGood...)
+	// Only the divergence tripwire reads the segment-start checkpoint
+	// (to replay the segment and to rewind on failure), so only a
+	// tripwire-enabled session pays for the copy.
+	var prev []byte
+	if s.cfg.VerifyEvery > 0 {
+		prev = append([]byte(nil), s.lastGood...)
+	}
 	prevReplay := len(s.replay) > 0
 	for attempt := 0; ; attempt++ {
 		stopErr, err := s.stepChild(k)

@@ -31,6 +31,10 @@ type GenProgram struct {
 
 	// Plan is non-nil for CCSS programs.
 	Plan *sched.CCSSPlan
+	// Shadows is the plan's mux-arm cone analysis — the same result the
+	// interpreter engines consume — or nil when the plan computed none
+	// (unoptimized full-cycle, NoMuxShadow).
+	Shadows *sched.MuxShadows
 }
 
 // GenInstr mirrors one compiled instruction.
@@ -91,11 +95,12 @@ func exportOperand(o operand) GenOperand {
 	return GenOperand{Off: o.off, W: o.w, Signed: o.signed}
 }
 
-func exportMachine(m *machine, plan *sched.CCSSPlan) *GenProgram {
+func exportMachine(m *machine, plan *sched.CCSSPlan, shadows *sched.MuxShadows) *GenProgram {
 	g := &GenProgram{
 		D: m.d, Off: m.off, NW: m.nw, ConstOff: m.constOff,
 		TableLen: len(m.t), RegCopy: m.regCopy, Elided: m.elided,
 		SchedPosOf: m.schedPosOf, InstrOf: m.instrOf, Plan: plan,
+		Shadows: shadows,
 	}
 	maxW := 1
 	for _, n := range m.nw {
@@ -152,7 +157,7 @@ func ExportFullCycle(d *netlist.Design, elide bool) (*GenProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exportMachine(m, nil), nil
+	return exportMachine(m, nil, plan.Shadows), nil
 }
 
 // ExportCCSS compiles a CCSS program view with partition metadata.
@@ -162,7 +167,7 @@ func ExportCCSS(d *netlist.Design, cp int) (*GenProgram, error) {
 
 // ExportCCSSOpts is ExportCCSS with explicit optimization knobs. The
 // generator applies mux shadowing itself, so the plan's shadow analysis
-// result is carried in the plan, not the schedule.
+// is carried in Shadows, not lowered into the schedule.
 func ExportCCSSOpts(d *netlist.Design, opts sched.PlanOptions) (*GenProgram, error) {
 	plan, err := sched.PlanCCSSOpts(d, opts)
 	if err != nil {
@@ -172,7 +177,7 @@ func ExportCCSSOpts(d *netlist.Design, opts sched.PlanOptions) (*GenProgram, err
 	if err != nil {
 		return nil, err
 	}
-	return exportMachine(m, plan), nil
+	return exportMachine(m, plan, plan.Shadows), nil
 }
 
 // ConstWords exposes the materialized constant-pool initialization values
