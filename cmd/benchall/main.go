@@ -471,6 +471,10 @@ func runVecSweep(scale exp.Scale, lanesFlag string, workers int,
 			fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
 		}
 	}
+	// The table and JSON above still record the failing rows.
+	if err := exp.CheckVecMatch(rows); err != nil {
+		fatal(err)
+	}
 }
 
 // runSASweep runs the static-activity experiment: proof coverage and

@@ -139,6 +139,8 @@ func main() {
 			fmt.Printf("  %d group(s) share a static toggle-condition signature\n",
 				vi.SharedGuardGroups)
 		}
+		fmt.Printf("  word-parallel tables: %d uniform load(s), %d constant row(s), %d wake term(s)\n",
+			vi.UniformLoads, vi.ConstRows, vi.WakeTerms)
 	}
 	if vi := sim.VecInfo(); vi.DroppedGroups > 0 {
 		fmt.Printf("vec floor: %d class(es) (%d partitions) below %d lanes fell back to scalar\n",

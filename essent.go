@@ -756,6 +756,13 @@ type VecStats struct {
 	// groups whose lanes all share one signature.
 	GatedParts        int
 	SharedGuardGroups int
+	// UniformLoads counts group boundary reads every lane takes from one
+	// shared word (one read per group evaluation); ConstRows counts those
+	// on constant-pool words (filled once at compile); WakeTerms counts
+	// the bit-parallel flag-word ORs the groups' output wakes compile to.
+	UniformLoads int
+	ConstRows    int
+	WakeTerms    int
 	// GroupEvals / LaneEvals count group activations and active-lane
 	// evaluations during simulation.
 	GroupEvals uint64
@@ -778,6 +785,9 @@ func (s *Sim) VecInfo() VecStats {
 			DroppedParts:      v.DroppedParts,
 			GatedParts:        v.GatedParts,
 			SharedGuardGroups: v.SharedGuardGroups,
+			UniformLoads:      v.UniformLoads,
+			ConstRows:         v.ConstRows,
+			WakeTerms:         v.WakeTerms,
 			GroupEvals:        v.GroupEvals,
 			LaneEvals:         v.LaneEvals,
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"essent/internal/ckpt"
 	"essent/internal/designs"
 	"essent/internal/netlist"
 	"essent/internal/sim"
@@ -35,6 +36,10 @@ type VecRow struct {
 	Groups      int `json:"groups"`
 	VecParts    int `json:"vec_parts"`
 	WidestGroup int `json:"widest_group"`
+	// StateMatch confirms the vec run ended with the same architectural
+	// state hash and the same Stats as its NoVec twin in every rep
+	// (always true on NoVec rows, the reference).
+	StateMatch bool `json:"state_match"`
 }
 
 // vecReps mirrors the pack sweep's interleaved min-of estimator.
@@ -142,20 +147,26 @@ func VecSweep(scale Scale, maxLanes []int, workers int,
 		for _, ml := range maxLanes {
 			cell := make([]VecRow, 2)
 			times := make([][]float64, 2)
+			match := true
 			for rep := 0; rep < vecReps; rep++ {
+				var twin vecOutcome
 				for vi, novec := range []bool{true, false} {
-					elapsed, vst, err := runVecOnce(cd, ml, workers, cycles, novec)
+					o, err := runVecOnce(cd, ml, workers, cycles, novec)
 					if err != nil {
 						return nil, err
 					}
-					times[vi] = append(times[vi], elapsed.Seconds())
+					times[vi] = append(times[vi], o.elapsed.Seconds())
 					row := VecRow{Design: cd.name, Instances: cd.instances,
 						Nodes: cd.d.NumNodes(), MaxLanes: ml, Vec: !novec,
-						Cycles: uint64(cycles)}
-					if !novec {
-						row.Groups = vst.Groups
-						row.VecParts = vst.VecParts
-						row.WidestGroup = vst.MaxLanes
+						Cycles: uint64(cycles), StateMatch: true}
+					if novec {
+						twin = o
+					} else {
+						row.Groups = o.vst.Groups
+						row.VecParts = o.vst.VecParts
+						row.WidestGroup = o.vst.MaxLanes
+						match = match && o.hash == twin.hash && o.stats == twin.stats
+						row.StateMatch = match
 					}
 					cell[vi] = row
 				}
@@ -177,13 +188,23 @@ func VecSweep(scale Scale, maxLanes []int, workers int,
 	return rows, nil
 }
 
+// vecOutcome is one timed run and what it ended with: the final
+// architectural state hash and Stats the vec/NoVec twins must agree on.
+type vecOutcome struct {
+	elapsed time.Duration
+	vst     sim.VecStats
+	hash    uint64
+	stats   sim.Stats
+}
+
 // runVecOnce times one self-stimulated run of a replicated-fabric design.
 func runVecOnce(cd vecDesign, maxLanes, workers, cycles int,
-	novec bool) (time.Duration, sim.VecStats, error) {
+	novec bool) (vecOutcome, error) {
+	var o vecOutcome
 	s, err := sim.New(cd.d, sim.Options{Engine: sim.EngineCCSSVec,
 		NoVec: novec, MaxVecLanes: maxLanes, Workers: workers})
 	if err != nil {
-		return 0, sim.VecStats{}, err
+		return o, err
 	}
 	s.Poke(cd.enable, 1)
 	start := time.Now()
@@ -191,45 +212,67 @@ func runVecOnce(cd vecDesign, maxLanes, workers, cycles int,
 	for done := 0; done < cycles; done += chunk {
 		n := min(chunk, cycles-done)
 		if err := s.Step(n); err != nil {
-			return 0, sim.VecStats{}, fmt.Errorf("exp: vec %s: %w", cd.name, err)
+			return o, fmt.Errorf("exp: vec %s: %w", cd.name, err)
 		}
 	}
-	elapsed := time.Since(start)
-	var vst sim.VecStats
+	o.elapsed = time.Since(start)
 	if vv, ok := s.(interface{ VecInfo() sim.VecStats }); ok {
-		vst = vv.VecInfo()
+		o.vst = vv.VecInfo()
 	}
-	if !novec && vst.Groups == 0 {
-		return 0, vst, fmt.Errorf("exp: %s did not vectorize", cd.name)
+	if !novec && o.vst.Groups == 0 {
+		return o, fmt.Errorf("exp: %s did not vectorize", cd.name)
 	}
-	return elapsed, vst, nil
+	st, err := sim.Capture(s)
+	if err != nil {
+		return o, fmt.Errorf("exp: vec %s: %w", cd.name, err)
+	}
+	o.hash, o.stats = ckpt.StateHash(st), *s.Stats()
+	return o, nil
+}
+
+// CheckVecMatch fails when any vec row did not end bit-exact (state
+// and Stats) with its NoVec twin, naming every such design×lane-cap
+// cell; a sweep with a wrong answer must not pass as a measurement.
+func CheckVecMatch(rows []VecRow) error {
+	var bad []string
+	for _, r := range rows {
+		if !r.StateMatch {
+			bad = append(bad, fmt.Sprintf("%s/lanes=%d", r.Design, r.MaxLanes))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("exp: vec engine state or stats differ from NoVec on %s",
+			strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 // RenderVec formats the instance-vectorization sweep.
 func RenderVec(rows []VecRow) string {
 	var b strings.Builder
 	b.WriteString("Instance-vectorization sweep (vec vs NoVec CCSS)\n")
-	b.WriteString("  Design Insts  Nodes MaxLanes Vec    Seconds    Cyc/sec  Speedup  Groups VecParts Widest\n")
+	b.WriteString("  Design Insts  Nodes MaxLanes Vec    Seconds    Cyc/sec  Speedup  Groups VecParts Widest Match\n")
 	for _, r := range rows {
 		vec := "no"
 		if r.Vec {
 			vec = "yes"
 		}
-		fmt.Fprintf(&b, "  %s %5d %6d %8d %-4s %9.3f %10.0f %7.2fx %7d %8d %6d\n",
+		fmt.Fprintf(&b, "  %s %5d %6d %8d %-4s %9.3f %10.0f %7.2fx %7d %8d %6d %5v\n",
 			pad(r.Design, 6), r.Instances, r.Nodes, r.MaxLanes, vec,
 			r.Seconds, r.CyclesPerSec, r.SpeedupVsNoVec,
-			r.Groups, r.VecParts, r.WidestGroup)
+			r.Groups, r.VecParts, r.WidestGroup, r.StateMatch)
 	}
 	return b.String()
 }
 
 // WriteVecCSV emits design,instances,nodes,max_lanes,vec,cycles,seconds,
-// cycles_per_sec,speedup_vs_novec,groups,vec_parts,widest_group.
+// cycles_per_sec,speedup_vs_novec,groups,vec_parts,widest_group,
+// state_match.
 func WriteVecCSV(w io.Writer, rows []VecRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"design", "instances", "nodes", "max_lanes",
 		"vec", "cycles", "seconds", "cycles_per_sec", "speedup_vs_novec",
-		"groups", "vec_parts", "widest_group"}); err != nil {
+		"groups", "vec_parts", "widest_group", "state_match"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -241,7 +284,7 @@ func WriteVecCSV(w io.Writer, rows []VecRow) error {
 			fmt.Sprintf("%.0f", r.CyclesPerSec),
 			fmt.Sprintf("%.4f", r.SpeedupVsNoVec),
 			strconv.Itoa(r.Groups), strconv.Itoa(r.VecParts),
-			strconv.Itoa(r.WidestGroup),
+			strconv.Itoa(r.WidestGroup), strconv.FormatBool(r.StateMatch),
 		}); err != nil {
 			return err
 		}

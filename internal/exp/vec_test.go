@@ -30,6 +30,9 @@ func TestVecSweep(t *testing.T) {
 	if novec.SpeedupVsNoVec != 1 || vec.SpeedupVsNoVec <= 0 {
 		t.Fatalf("speedup anchoring wrong: %+v", rows)
 	}
+	if err := CheckVecMatch(rows); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.Cycles == 0 || r.Seconds <= 0 || r.CyclesPerSec <= 0 {
 			t.Fatalf("empty measurement: %+v", r)
@@ -76,5 +79,25 @@ func TestVecSweepFilters(t *testing.T) {
 	}
 	if len(all) != 3 { // mac8, mac16, noc8 at quick scale
 		t.Fatalf("expected 3 designs, got %d", len(all))
+	}
+}
+
+func TestCheckVecMatch(t *testing.T) {
+	ok := []VecRow{{Design: "mac8", MaxLanes: 16, StateMatch: true},
+		{Design: "mac8", MaxLanes: 16, Vec: true, StateMatch: true}}
+	if err := CheckVecMatch(ok); err != nil {
+		t.Fatalf("all rows match, got %v", err)
+	}
+	bad := []VecRow{{Design: "mac8", MaxLanes: 16, StateMatch: true},
+		{Design: "mac8", MaxLanes: 16, Vec: true},
+		{Design: "mac16", MaxLanes: 64, Vec: true},
+		{Design: "noc8", MaxLanes: 64, Vec: true, StateMatch: true}}
+	err := CheckVecMatch(bad)
+	if err == nil {
+		t.Fatal("a state_match=false row passed")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "mac8/lanes=16, mac16/lanes=64") ||
+		strings.Contains(msg, "noc8") {
+		t.Fatalf("error must name exactly the mismatched cells: %v", err)
 	}
 }

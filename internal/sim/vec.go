@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"essent/internal/bits"
 	"essent/internal/netlist"
 	"essent/internal/partition"
 	"essent/internal/sa"
@@ -101,6 +102,15 @@ type VecStats struct {
 	// masks move in lockstep).
 	GatedParts        int
 	SharedGuardGroups int
+	// UniformLoads counts load slots every lane reads from one shared
+	// table word (one read and a row fill per evaluation); ConstRows
+	// counts the uniform slots on constant-pool words (filled once at
+	// build); WakeTerms counts the flag-word OR terms the outputs' lane
+	// consumer lists compile to. All three are compile-time totals over
+	// the groups.
+	UniformLoads int
+	ConstRows    int
+	WakeTerms    int
 	// GroupEvals counts group evaluations; LaneEvals sums active lanes
 	// over them (GroupEvals × mean activity).
 	GroupEvals uint64
@@ -122,9 +132,19 @@ type vecGroup struct {
 	nslots  int
 
 	// loads are slots read before written (class boundary reads, and
-	// elided registers updated in place): gathered from t per active
-	// lane before evaluation.
-	loads []int32
+	// elided registers updated in place): the declared gather set. By
+	// how the gather reads them they split three ways: laneLoads differ
+	// per lane and are gathered per active lane; uniLoads are read from
+	// one table word shared by every lane and never written by the
+	// program, so one read fills the row; constRows are uniform slots
+	// on constant-pool words, filled once at build. uniform marks
+	// uniLoads ∪ constRows by slot: a skip on a uniform selector decides
+	// its whole cone from one word.
+	loads     []int32
+	laneLoads []int32
+	uniLoads  []int32
+	constRows []int32
+	uniform   []bool
 	// laneOff[s*lanes+l] is slot s's machine value-table offset in lane
 	// l (lane 0 = leader offsets, lane l = φ_l of them).
 	laneOff []int32
@@ -138,11 +158,24 @@ type vecGroup struct {
 	stores []int32
 
 	// regs lists, per lane, the member's non-elided registers to mark
-	// dirty for the cycle-boundary commit.
-	regs [][]int32
+	// dirty for the cycle-boundary commit; hasRegs reports whether any
+	// lane has one.
+	regs    [][]int32
+	hasRegs bool
+
+	// runs cover parts as maximal spans of consecutive partition IDs in
+	// consecutive lanes: runGroup reads and clears the members' flags a
+	// word at a time.
+	runs []vecRun
 
 	// buf is the persistent slot-major row buffer [nslots × lanes].
 	buf []uint64
+
+	// full is the all-lanes mask and allLanes its lane list: when every
+	// member is active the gather, compare and selector scans walk the
+	// rows directly.
+	full     simrt.LaneMask
+	allLanes []int
 
 	laneScratch []int
 }
@@ -151,6 +184,35 @@ type vecOut struct {
 	slot int32
 	// consumers[l] are the partitions lane l wakes on change.
 	consumers [][]int32
+	// terms and fanin compile consumers into flag-word ORs: a changed
+	// lane l in a term's src wakes partition 64*w + l + shift; any
+	// changed lane in a fan-in's src wakes its one partition (a consumer
+	// several lanes share, such as a reduction).
+	terms []wakeTerm
+	fanin []fanInWake
+	// nwake is the consumer count every lane shares, or -1 when lanes
+	// differ; counts[l] is len(consumers[l]).
+	nwake  int32
+	counts []int32
+}
+
+// wakeTerm is one bit-parallel wake: flags[w] |= (changed & src)
+// shifted left by shift (right when negative).
+type wakeTerm struct {
+	src   simrt.LaneMask
+	w     int32
+	shift int32
+}
+
+// fanInWake wakes partition q when any lane of src changed.
+type fanInWake struct {
+	src simrt.LaneMask
+	q   int32
+}
+
+// vecRun maps lanes [lane, lane+hi-lo) to partitions [lo, hi).
+type vecRun struct {
+	lane, lo, hi int32
 }
 
 type vecWorkerBuf struct {
@@ -766,6 +828,11 @@ func (v *VecCCSS) buildGroups(maxLanes, minLanes int, noSA bool) {
 		v.leaders.set(int32(members[0]))
 		v.vst.Groups++
 		v.vst.VecParts += len(members)
+		v.vst.UniformLoads += len(vg.uniLoads)
+		v.vst.ConstRows += len(vg.constRows)
+		for _, o := range vg.outs {
+			v.vst.WakeTerms += len(o.terms) + len(o.fanin)
+		}
 		if len(members) > v.vst.MaxLanes {
 			v.vst.MaxLanes = len(members)
 		}
@@ -922,6 +989,7 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 				return nil
 			}
 		}
+		vo.compileWakes()
 		g.outs = append(g.outs, vo)
 		outSlots[s] = true
 	}
@@ -944,11 +1012,117 @@ func (v *VecCCSS) finalizeGroup(members []int, phis []map[int32]int32,
 	g.regs = make([][]int32, lanes)
 	for l, p := range members {
 		g.regs[l] = v.parts[p].regs
+		g.hasRegs = g.hasRegs || len(g.regs[l]) > 0
 	}
 
 	g.buf = make([]uint64, g.nslots*lanes)
+	g.classifyLoads(written, m.constWords())
+	for _, s := range g.constRows {
+		row := g.buf[int(s)*lanes : int(s)*lanes+lanes]
+		x := m.t[g.laneOff[int(s)*lanes]]
+		for l := range row {
+			row[l] = x
+		}
+	}
+	g.runs = laneRuns(g.parts)
+	g.full = simrt.FullMask(lanes)
+	g.allLanes = g.full.Lanes(make([]int, 0, lanes))
 	g.laneScratch = make([]int, 0, lanes)
 	return g
+}
+
+// classifyLoads splits the sorted load set by how the gather reads it:
+// a load is uniform when every lane maps it to the same table word and
+// no program entry writes it, and a uniform load on a constant-pool
+// word is a constant row.
+func (g *vecGroup) classifyLoads(written map[int32]bool, isConst []bool) {
+	L := g.lanes
+	g.uniform = make([]bool, g.nslots)
+	for _, s := range g.loads {
+		offs := g.laneOff[int(s)*L : int(s)*L+L]
+		uni := !written[s]
+		for _, o := range offs[1:] {
+			uni = uni && o == offs[0]
+		}
+		switch {
+		case !uni:
+			g.laneLoads = append(g.laneLoads, s)
+		case isConst[offs[0]]:
+			g.constRows = append(g.constRows, s)
+		default:
+			g.uniLoads = append(g.uniLoads, s)
+		}
+		g.uniform[s] = uni
+	}
+}
+
+// constWords marks the value-table words of the constant pool: written
+// once at construction, never by a step, a poke or a restore.
+func (m *machine) constWords() []bool {
+	isConst := make([]bool, len(m.t))
+	for i, off := range m.constOff {
+		for w := 0; w < bits.Words(m.d.Consts[i].Width); w++ {
+			isConst[int(off)+w] = true
+		}
+	}
+	return isConst
+}
+
+// compileWakes turns the per-lane consumer lists into bit-parallel
+// wakes: a partition several lanes wake becomes one fan-in, and every
+// other consumer joins the shift term of its (flag word, bit − lane)
+// pair. It also records the per-lane consumer counts Stats.Wakes adds
+// up.
+func (o *vecOut) compileWakes() {
+	o.terms, o.fanin = nil, nil
+	shared := make(map[int32]simrt.LaneMask)
+	for l, cs := range o.consumers {
+		for _, q := range cs {
+			shared[q] |= 1 << uint(l)
+		}
+	}
+	fanned := make(map[int32]bool)
+	termAt := make(map[[2]int32]int)
+	o.counts = make([]int32, len(o.consumers))
+	o.nwake = int32(len(o.consumers[0]))
+	for l, cs := range o.consumers {
+		o.counts[l] = int32(len(cs))
+		if o.counts[l] != o.nwake {
+			o.nwake = -1
+		}
+		for _, q := range cs {
+			if src := shared[q]; src.Count() > 1 {
+				if !fanned[q] {
+					fanned[q] = true
+					o.fanin = append(o.fanin, fanInWake{src: src, q: q})
+				}
+				continue
+			}
+			key := [2]int32{q / 64, q%64 - int32(l)}
+			i, ok := termAt[key]
+			if !ok {
+				i = len(o.terms)
+				termAt[key] = i
+				o.terms = append(o.terms, wakeTerm{w: key[0], shift: key[1]})
+			}
+			o.terms[i].src |= 1 << uint(l)
+		}
+	}
+}
+
+// laneRuns splits a lane-ordered member list into maximal runs of
+// consecutive partition IDs.
+func laneRuns(parts []int32) []vecRun {
+	var runs []vecRun
+	for l := 0; l < len(parts); {
+		e := l + 1
+		for e < len(parts) && parts[e] == parts[e-1]+1 {
+			e++
+		}
+		runs = append(runs, vecRun{lane: int32(l), lo: parts[l], hi: parts[l] + int32(e-l)})
+		l = e
+	}
+	return runs
 }
 
 // ---------------------------------------------------------------------
@@ -1000,14 +1174,23 @@ const vecParMinActive = 16
 
 // runGroup evaluates one class: collect member flags into the activity
 // mask, gather boundary reads for active lanes, run the class program,
-// scatter with compare-and-wake. Inactive lanes cost their flag test
-// only.
+// scatter with compare-and-wake. Inactive lanes cost their share of a
+// flag-word read only.
 func (v *VecCCSS) runGroup(g *vecGroup) {
+	flags := v.flags
 	var mask simrt.LaneMask
-	for l, p := range g.parts {
-		if v.flags.has(p) {
-			v.flags.clear(p)
-			mask |= 1 << uint(l)
+	for _, r := range g.runs {
+		for w := r.lo / 64; w*64 < r.hi; w++ {
+			b := flags[w] & spanMask(w, r.lo, r.hi)
+			if b == 0 {
+				continue
+			}
+			flags[w] &^= b
+			if sh := r.lane + w*64 - r.lo; sh >= 0 {
+				mask |= simrt.LaneMask(b << uint(sh))
+			} else {
+				mask |= simrt.LaneMask(b >> uint(-sh))
+			}
 		}
 	}
 	if mask == 0 {
@@ -1018,17 +1201,37 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 	m.stats.PartEvals += uint64(n)
 	v.vst.GroupEvals++
 	v.vst.LaneEvals += uint64(n)
-	g.laneScratch = mask.Lanes(g.laneScratch[:0])
-	lanes := g.laneScratch
+	full := mask == g.full
+	lanes := g.allLanes
+	if !full {
+		g.laneScratch = mask.Lanes(g.laneScratch[:0])
+		lanes = g.laneScratch
+	}
 
 	// Phase 1: gather boundary reads from t (active lanes only —
 	// inactive lanes keep their rows, exactly as the scalar machine
-	// keeps a sleeping partition's t entries).
+	// keeps a sleeping partition's t entries). A uniform row is refilled
+	// only when its one word changed: nothing else writes it, so every
+	// lane still holds the last fill.
 	t := m.t
 	L := g.lanes
-	for _, s := range g.loads {
+	for _, s := range g.uniLoads {
+		row := g.buf[int(s)*L : int(s)*L+L]
+		if x := t[g.laneOff[int(s)*L]]; row[0] != x {
+			for l := range row {
+				row[l] = x
+			}
+		}
+	}
+	for _, s := range g.laneLoads {
 		row := g.buf[int(s)*L : int(s)*L+L]
 		offs := g.laneOff[int(s)*L : int(s)*L+L]
+		if full {
+			for l, o := range offs {
+				row[l] = t[o]
+			}
+			continue
+		}
 		for _, l := range lanes {
 			row[l] = t[offs[l]]
 		}
@@ -1043,50 +1246,93 @@ func (v *VecCCSS) runGroup(g *vecGroup) {
 	m.stats.OpsEvaluated += execGroup(g, mask, lanes)
 
 	// Phase 3: scatter, compare, wake, mark dirty registers.
-	v.scatterLanes(g, lanes, &m.stats, nil, &v.dirtyRegs)
+	v.scatterLanes(g, mask, lanes, &m.stats, nil, &v.dirtyRegs)
 }
 
 // scatterLanes writes the evaluated lanes back to t. Outputs get the
 // scalar walk's compare-and-wake (the pre-scatter t value is the old
 // value — nothing else writes these offsets); stores write
-// unconditionally. When wakeBuf is non-nil (parallel workers), wakes
-// are buffered instead of setting flags directly.
-func (v *VecCCSS) scatterLanes(g *vecGroup, lanes []int, st *Stats,
-	wakeBuf *[]int32, dirty *[]int32) {
+// unconditionally. Each output's compare yields a changed-lane mask that
+// drives its wake terms; when wakeBuf is non-nil (parallel workers),
+// the changed lanes' consumers are buffered instead.
+func (v *VecCCSS) scatterLanes(g *vecGroup, mask simrt.LaneMask, lanes []int,
+	st *Stats, wakeBuf *[]int32, dirty *[]int32) {
 	t := v.machine.t
 	L := g.lanes
+	full := mask == g.full
 	for oi := range g.outs {
 		o := &g.outs[oi]
 		row := g.buf[int(o.slot)*L : int(o.slot)*L+L]
 		offs := g.laneOff[int(o.slot)*L : int(o.slot)*L+L]
-		for _, l := range lanes {
-			st.OutputCompares++
-			nv := row[l]
-			if t[offs[l]] != nv {
-				t[offs[l]] = nv
-				st.SignalChanges++
-				cons := o.consumers[l]
-				if wakeBuf != nil {
-					*wakeBuf = append(*wakeBuf, cons...)
-				} else {
-					for _, q := range cons {
-						v.flags.set(q)
-					}
+		var changed simrt.LaneMask
+		if full {
+			for l, off := range offs {
+				if nv := row[l]; t[off] != nv {
+					t[off] = nv
+					changed |= 1 << uint(l)
 				}
-				st.Wakes += uint64(len(cons))
+			}
+		} else {
+			for _, l := range lanes {
+				if nv := row[l]; t[offs[l]] != nv {
+					t[offs[l]] = nv
+					changed |= 1 << uint(l)
+				}
+			}
+		}
+		st.OutputCompares += uint64(len(lanes))
+		if changed == 0 {
+			continue
+		}
+		nc := changed.Count()
+		st.SignalChanges += uint64(nc)
+		if o.nwake >= 0 {
+			st.Wakes += uint64(nc) * uint64(o.nwake)
+		} else {
+			for c := changed; c != 0; c = c.Drop() {
+				st.Wakes += uint64(o.counts[c.Lowest()])
+			}
+		}
+		if wakeBuf != nil {
+			for c := changed; c != 0; c = c.Drop() {
+				*wakeBuf = append(*wakeBuf, o.consumers[c.Lowest()]...)
+			}
+			continue
+		}
+		flags := v.flags
+		for _, f := range o.fanin {
+			if changed&f.src != 0 {
+				flags.set(f.q)
+			}
+		}
+		for _, tm := range o.terms {
+			b := uint64(changed & tm.src)
+			if b == 0 {
+				continue
+			}
+			if tm.shift >= 0 {
+				flags[tm.w] |= b << uint(tm.shift)
+			} else {
+				flags[tm.w] |= b >> uint(-tm.shift)
 			}
 		}
 	}
 	for _, s := range g.stores {
 		row := g.buf[int(s)*L : int(s)*L+L]
 		offs := g.laneOff[int(s)*L : int(s)*L+L]
+		if full {
+			for l, off := range offs {
+				t[off] = row[l]
+			}
+			continue
+		}
 		for _, l := range lanes {
 			t[offs[l]] = row[l]
 		}
 	}
-	for _, l := range lanes {
-		if rs := g.regs[l]; len(rs) > 0 {
-			*dirty = append(*dirty, rs...)
+	if g.hasRegs {
+		for _, l := range lanes {
+			*dirty = append(*dirty, g.regs[l]...)
 		}
 	}
 }
@@ -1135,7 +1381,7 @@ func (v *VecCCSS) runGroupParallel(g *vecGroup, mask simrt.LaneMask, lanes []int
 				}
 			}()
 			wb.stats.OpsEvaluated += execGroup(g, subMask, sub)
-			v.scatterLanes(g, sub, &wb.stats, &wb.wakes, &wb.dirty)
+			v.scatterLanes(g, subMask, sub, &wb.stats, &wb.wakes, &wb.dirty)
 		}(wb, sub, subMask)
 	}
 	wg.Wait()

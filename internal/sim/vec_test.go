@@ -374,6 +374,91 @@ func TestVecVerifierMutations(t *testing.T) {
 			g.outs[0].consumers[0]...), 0)
 		expect(t, v, "SM-VEC-SCATTER")
 	})
+	// The word-parallel tables: mutate a group of the lane-layout design,
+	// which has per-lane, uniform and constant loads, outputs with
+	// consumers, and registers to mark dirty.
+	layoutGroup := func(t *testing.T, want func(g *vecGroup) bool) (*VecCCSS, *vecGroup) {
+		d := compileVecTest(t, layoutSrc(layoutInstances))
+		v, err := NewVecCCSS(d, VecCCSSOptions{MinLanes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi := range v.groups {
+			if want(&v.groups[gi]) {
+				return v, &v.groups[gi]
+			}
+		}
+		t.Fatal("no group with the wanted shape")
+		return nil, nil
+	}
+	t.Run("uniform-divergent", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return len(g.laneLoads) > 0 })
+		s := g.laneLoads[0]
+		g.laneLoads = g.laneLoads[1:]
+		g.uniLoads = append(g.uniLoads, s)
+		g.uniform[s] = true
+		expect(t, v, "SM-VEC-UNIFORM")
+	})
+	t.Run("uniform-written", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return len(g.vinstrs) > 0 })
+		g.uniform[g.vinstrs[0].dst] = true
+		expect(t, v, "SM-VEC-UNIFORM")
+	})
+	t.Run("const-row-corrupt", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return len(g.constRows) > 0 })
+		g.buf[int(g.constRows[0])*g.lanes+1] ^= 1
+		expect(t, v, "SM-VEC-UNIFORM")
+	})
+	// outWith finds a group output with the wanted wake shape.
+	outWith := func(t *testing.T, want func(o *vecOut) bool) (*VecCCSS, *vecOut) {
+		var out *vecOut
+		v, _ := layoutGroup(t, func(g *vecGroup) bool {
+			for oi := range g.outs {
+				if want(&g.outs[oi]) {
+					out = &g.outs[oi]
+					return true
+				}
+			}
+			return false
+		})
+		return v, out
+	}
+	t.Run("wake-term-shifted", func(t *testing.T) {
+		v, o := outWith(t, func(o *vecOut) bool { return len(o.terms) > 0 })
+		o.terms[0].shift++
+		expect(t, v, "SM-VEC-WAKE")
+	})
+	t.Run("wake-fanin-dropped", func(t *testing.T) {
+		v, o := outWith(t, func(o *vecOut) bool { return len(o.fanin) > 0 })
+		o.fanin = o.fanin[1:]
+		expect(t, v, "SM-VEC-WAKE")
+	})
+	t.Run("wake-shared-count", func(t *testing.T) {
+		v, o := outWith(t, func(o *vecOut) bool { return o.nwake < 0 })
+		o.nwake = o.counts[0]
+		expect(t, v, "SM-VEC-WAKE")
+	})
+	t.Run("wake-count-wrong", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return len(g.outs) > 0 })
+		g.outs[0].counts[1]++
+		expect(t, v, "SM-VEC-WAKE")
+	})
+	t.Run("run-short", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return true })
+		g.runs[len(g.runs)-1].hi--
+		expect(t, v, "SM-VEC-RUNS")
+	})
+	t.Run("run-shifted", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return true })
+		g.runs[0].lo++
+		g.runs[0].hi++
+		expect(t, v, "SM-VEC-RUNS")
+	})
+	t.Run("dirty-walk-skipped", func(t *testing.T) {
+		v, g := layoutGroup(t, func(g *vecGroup) bool { return g.hasRegs })
+		g.hasRegs = false
+		expect(t, v, "SM-VEC-SCATTER")
+	})
 	t.Run("illegal-position", func(t *testing.T) {
 		v := build(t)
 		// Fabricate a dependence violation by swapping the group's

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"essent/internal/bits"
 	"essent/internal/verify"
 )
 
@@ -31,6 +32,16 @@ import (
 //	                architectural state writes (elided register
 //	                storage, register next values, design outputs) are
 //	                covered by the group's scatter sets
+//	SM-VEC-UNIFORM  the load split is recomputed from laneOff: a load
+//	                is uniform iff every lane maps it to one word and no
+//	                entry writes it, constant rows are exactly the
+//	                uniform loads on constant-pool words and hold the
+//	                pool value in every lane
+//	SM-VEC-WAKE     expanding each output's wake terms yields exactly
+//	                the lane's consumer set, and the per-lane wake
+//	                counts equal the consumer list lengths
+//	SM-VEC-RUNS     the activity runs cover the member list exactly,
+//	                in lane order
 func (v *VecCCSS) verifyVec() []verify.Diagnostic {
 	c := &vecChecker{v: v}
 	c.checkClassBijection()
@@ -39,6 +50,11 @@ func (v *VecCCSS) verifyVec() []verify.Diagnostic {
 		c.checkLaneMaps(gi, g)
 		c.checkDefUse(gi, g)
 		c.checkScatter(gi, g)
+		if len(g.laneOff) == g.nslots*g.lanes && len(g.buf) == len(g.laneOff) {
+			c.checkUniform(gi, g)
+		}
+		c.checkWakes(gi, g)
+		c.checkRuns(gi, g)
 	}
 	c.checkPositions()
 	return c.diags
@@ -330,6 +346,224 @@ func (c *vecChecker) checkScatter(gi int, g *vecGroup) {
 			c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
 				"each lane must carry its member's dirty-register list",
 				"lane %d partition %d: reg list mismatch", l, p)
+		} else if len(part.regs) > 0 && !g.hasRegs {
+			c.errf("SM-VEC-SCATTER", c.groupLoc(gi),
+				"a group with dirty registers must not skip the dirty walk",
+				"lane %d partition %d owns %d register(s) but hasRegs is false",
+				l, p, len(part.regs))
 		}
+	}
+}
+
+// checkUniform recomputes the load split from laneOff and the program's
+// destinations. A slot marked uniform that some lane maps elsewhere, or
+// that the program writes, would hand lanes a wrong boundary value; a
+// constant row not holding its pool word in every lane would too.
+func (c *vecChecker) checkUniform(gi int, g *vecGroup) {
+	d := c.v.machine.d
+	constVal := make(map[int32]uint64)
+	for i, off := range c.v.machine.constOff {
+		ws := d.Consts[i].Words
+		for w := 0; w < bits.Words(d.Consts[i].Width); w++ {
+			var x uint64
+			if w < len(ws) {
+				x = ws[w]
+			}
+			constVal[off+int32(w)] = x
+		}
+	}
+	dst := make(map[int32]bool, len(g.vinstrs))
+	for _, in := range g.vinstrs {
+		dst[in.dst] = true
+	}
+	L := g.lanes
+	want := make(map[int32]string, len(g.loads))
+	for _, s := range g.loads {
+		if s < 0 || int(s) >= g.nslots {
+			continue
+		}
+		offs := g.laneOff[int(s)*L : int(s)*L+L]
+		uni := !dst[s]
+		for _, o := range offs {
+			uni = uni && o == offs[0]
+		}
+		_, isConst := constVal[offs[0]]
+		switch {
+		case !uni:
+			want[s] = "lane"
+		case isConst:
+			want[s] = "const"
+		default:
+			want[s] = "uniform"
+		}
+	}
+	got := make(map[int32]string, len(g.loads))
+	for _, set := range []struct {
+		kind  string
+		slots []int32
+	}{{"lane", g.laneLoads}, {"uniform", g.uniLoads}, {"const", g.constRows}} {
+		for _, s := range set.slots {
+			if prev, dup := got[s]; dup {
+				c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+					"each load belongs to exactly one gather class",
+					"slot %d is both %s and %s", s, prev, set.kind)
+			}
+			got[s] = set.kind
+		}
+	}
+	for s, k := range want {
+		if got[s] != k {
+			c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+				"the gather class must match laneOff and the program's writes",
+				"load slot %d classified %q, recomputed %q", s, got[s], k)
+		}
+	}
+	for s, k := range got {
+		if _, ok := want[s]; !ok {
+			c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+				"only declared loads are gathered",
+				"slot %d classified %q is not a load", s, k)
+		}
+	}
+	if len(g.uniform) != g.nslots {
+		c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+			"the uniform-selector table covers every slot",
+			"have %d entries, want %d", len(g.uniform), g.nslots)
+		return
+	}
+	for s, u := range g.uniform {
+		k := want[int32(s)]
+		if u != (k == "uniform" || k == "const") {
+			c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+				"a skip may decide from one word only on a uniform slot",
+				"slot %d uniform=%v, recomputed class %q", s, u, k)
+		}
+		if u && dst[int32(s)] {
+			c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+				"uniform slots are never written by the class program",
+				"uniform slot %d is a destination", s)
+		}
+	}
+	for _, s := range g.constRows {
+		if want[s] != "const" {
+			continue // reported above as a misclassification
+		}
+		x := constVal[g.laneOff[int(s)*L]]
+		for l, y := range g.buf[int(s)*L : int(s)*L+L] {
+			if y != x {
+				c.errf("SM-VEC-UNIFORM", c.groupLoc(gi),
+					"constant rows hold the pool value in every lane",
+					"slot %d lane %d holds %#x, pool word is %#x", s, l, y, x)
+				break
+			}
+		}
+	}
+}
+
+// checkWakes expands every output's wake terms back into per-lane
+// partition sets and compares them with the lane's consumer list, and
+// checks the counts Stats.Wakes is computed from.
+func (c *vecChecker) checkWakes(gi int, g *vecGroup) {
+	np := int32(len(c.v.parts))
+	for oi := range g.outs {
+		o := &g.outs[oi]
+		if len(o.consumers) != g.lanes || len(o.counts) != g.lanes {
+			c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+				"every lane carries a consumer list and a wake count",
+				"output %d: %d lists, %d counts for %d lanes",
+				oi, len(o.consumers), len(o.counts), g.lanes)
+			continue
+		}
+		got := make([]map[int32]bool, g.lanes)
+		for l := range got {
+			got[l] = make(map[int32]bool)
+		}
+		for _, tm := range o.terms {
+			for src := tm.src; src != 0; src = src.Drop() {
+				l := int32(src.Lowest())
+				bit := l + tm.shift
+				q := tm.w*64 + bit
+				if l >= int32(g.lanes) || bit < 0 || bit >= 64 || q < 0 || q >= np {
+					c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+						"wake terms must land on partition flags",
+						"output %d term (w=%d shift=%d) lane %d wakes bit %d",
+						oi, tm.w, tm.shift, l, q)
+					continue
+				}
+				got[l][q] = true
+			}
+		}
+		for _, f := range o.fanin {
+			if f.q < 0 || f.q >= np || f.src>>uint(g.lanes) != 0 && g.lanes < 64 {
+				c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+					"wake terms must land on partition flags",
+					"output %d fan-in from lanes %#x wakes partition %d", oi, f.src, f.q)
+				continue
+			}
+			for src := f.src; src != 0; src = src.Drop() {
+				got[src.Lowest()][f.q] = true
+			}
+		}
+		same := true
+		for l, cons := range o.consumers {
+			want := make(map[int32]bool, len(cons))
+			for _, q := range cons {
+				want[q] = true
+			}
+			eq := len(want) == len(got[l])
+			for q := range want {
+				eq = eq && got[l][q]
+			}
+			if !eq {
+				c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+					"wake terms must expand to exactly the lane's consumers",
+					"output %d lane %d: terms wake %d partition(s), consumers list %d",
+					oi, l, len(got[l]), len(want))
+			}
+			if o.counts[l] != int32(len(cons)) {
+				c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+					"per-lane wake counts must equal the consumer list lengths",
+					"output %d lane %d: count %d, %d consumers", oi, l, o.counts[l], len(cons))
+			}
+			same = same && len(cons) == len(o.consumers[0])
+		}
+		wantN := int32(len(o.consumers[0]))
+		if !same {
+			wantN = -1
+		}
+		if o.nwake != wantN {
+			c.errf("SM-VEC-WAKE", c.groupLoc(gi),
+				"the shared wake count is set iff every lane has the same count",
+				"output %d: nwake %d", oi, o.nwake)
+		}
+	}
+}
+
+// checkRuns expands the activity runs and compares them with the member
+// list lane by lane.
+func (c *vecChecker) checkRuns(gi int, g *vecGroup) {
+	next := int32(0)
+	for ri, r := range g.runs {
+		if r.lane != next || r.hi <= r.lo || int(r.lane+r.hi-r.lo) > len(g.parts) {
+			c.errf("SM-VEC-RUNS", c.groupLoc(gi),
+				"activity runs tile the lanes in order without gaps",
+				"run %d covers lanes [%d,%d), expected to start at lane %d",
+				ri, r.lane, r.lane+r.hi-r.lo, next)
+			return
+		}
+		for k := int32(0); k < r.hi-r.lo; k++ {
+			if p := g.parts[r.lane+k]; p != r.lo+k {
+				c.errf("SM-VEC-RUNS", c.groupLoc(gi),
+					"a run maps consecutive lanes to consecutive members",
+					"run %d lane %d reads partition %d, member is %d",
+					ri, r.lane+k, r.lo+k, p)
+			}
+		}
+		next = r.lane + r.hi - r.lo
+	}
+	if int(next) != len(g.parts) {
+		c.errf("SM-VEC-RUNS", c.groupLoc(gi),
+			"activity runs must cover every lane",
+			"runs cover %d of %d lanes", next, len(g.parts))
 	}
 }
